@@ -69,6 +69,8 @@ class TargetState:
         norm_sq = a * a + b * b
         if abs(norm_sq - 1.0) > DEFAULT_TOL.norm:
             raise ValueError(f"amplitudes must satisfy a^2 + b^2 = 1, got {norm_sq!r}")
+        if not math.isfinite(float(self.phi)):
+            raise ValueError(f"phase must be finite, got phi={self.phi}")
         phi = math.fmod(float(self.phi), _TWO_PI)
         if phi < 0.0:
             phi += _TWO_PI

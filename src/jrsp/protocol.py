@@ -367,6 +367,8 @@ def _check_run_args(
     shares = tuple(float(v) for v in shares)
     if len(shares) < 1:
         raise ValueError("need at least one phase share")
+    if not all(math.isfinite(v) for v in shares):
+        raise ValueError(f"phase shares must be finite, got {shares}")
     n = len(shares) + 1
     if variant == "bich3" and n != 3:
         raise ValueError(
@@ -489,38 +491,76 @@ def run_exact(
     )
 
 
-def _conditional_tables(
-    report: ProtocolReport,
-) -> tuple[np.ndarray, dict[tuple[int, tuple[int, ...]], float]]:
-    """Sender marginal and helper-bit conditionals for ancestral sampling.
+# Philox4x64-10 constants (Salmon et al., SC'11; numpy.random.Philox).
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+_CHUNK = 4096  # trials per batch, so memory stays flat in the trial count
 
-    Returns the probability vector over sender outcomes and a map from
-    (sender outcome, helper-bit prefix) to the probability that the next
-    helper bit is zero given that prefix.
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products a * b, for a uint64 array b.
+
+    numpy has no 128-bit integers, so the high word is assembled from the
+    32-bit halves of both factors; no partial sum can overflow 64 bits.
     """
-    n = report.n
-    marginal = np.zeros(1 << n)
-    joint: dict[tuple[int, tuple[int, ...]], float] = {}
-    for br in report.branches:
-        l_idx = bits_to_index(br.alice_bits)
-        marginal[l_idx] += br.probability
-        joint[(l_idx, br.bob_bits)] = br.probability
-    next_zero: dict[tuple[int, tuple[int, ...]], float] = {}
-    for l_idx in range(1 << n):
-        if marginal[l_idx] <= 0.0:
-            continue
-        for depth in range(n - 1):
-            for prefix_idx in range(1 << depth):
-                prefix = index_to_bits(prefix_idx, depth) if depth else ()
-                mass = [0.0, 0.0]
-                for m_idx in range(1 << (n - 1)):
-                    m_bits = index_to_bits(m_idx, n - 1)
-                    if m_bits[:depth] == prefix:
-                        mass[m_bits[depth]] += joint[(l_idx, m_bits)]
-                total = mass[0] + mass[1]
-                if total > 0.0:
-                    next_zero[(l_idx, prefix)] = mass[0] / total
-    return marginal, next_zero
+    a_lo, a_hi = np.uint64(a & _MASK32), np.uint64(a >> 32)
+    b_lo, b_hi = b & _MASK32, b >> 32
+    lo_lo = a_lo * b_lo
+    mid = a_hi * b_lo + (lo_lo >> 32)
+    cross = a_lo * b_hi + (mid & _MASK32)
+    return a_hi * b_hi + (mid >> 32) + (cross >> 32), np.uint64(a) * b
+
+
+def _philox_uniforms(seed: int, trial_ids: np.ndarray, count: int) -> np.ndarray:
+    """The first count draws of np.random.Philox(key=(seed, trial)).random()
+    for every trial in the uint64 array trial_ids.
+
+    Returns one row per trial.  Philox4x64-10 turns a 128-bit key and a
+    256-bit counter into four 64-bit words per block; a fresh numpy Philox
+    bumps its counter before the first block, so draws 4b..4b+3 come from
+    counter (b + 1, 0, 0, 0).  Each word w maps to the double (w >> 11) 2^-53.
+    """
+    blocks = -(-count // 4)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(_PHILOX_ROUNDS):
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) & _MASK64)
+        k1 = trial_ids + np.uint64(r * _PHILOX_W[1] & _MASK64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=-1).transpose(1, 0, 2)
+    words = words.reshape(trial_ids.size, 4 * blocks)[:, :count]
+    return (words >> 11).astype(np.float64) * _DOUBLE_UNIT
+
+
+def _sampling_tables(probabilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sender cumulative law and helper-bit thresholds for ancestral sampling.
+
+    probabilities is the (2^n, 2^(n-1)) branch-probability matrix.  Row l of
+    the returned threshold table is a binary tree over helper-bit prefixes:
+    node (1 << d) | prefix holds the probability that helper bit d is zero
+    given sender outcome l and the d earlier helper bits.  Every mass is a
+    sequential left fold over its contiguous block of branches (cumsum, not
+    the pairwise np.sum), so each threshold is reproducible to the last bit.
+    Nodes of zero mass are never reached and hold 1.0.
+    """
+    outcomes, helper_dim = probabilities.shape
+    marginal = np.cumsum(probabilities, axis=1)[:, -1]
+    next_zero = np.ones((outcomes, helper_dim))
+    for depth in range(helper_dim.bit_length() - 1):
+        blocks = probabilities.reshape(outcomes, 1 << depth, 2, -1)
+        mass = np.cumsum(blocks, axis=-1)[..., -1]
+        total = mass[..., 0] + mass[..., 1]
+        np.divide(
+            mass[..., 0], total, out=next_zero[:, 1 << depth : 2 << depth],
+            where=total > 0.0,
+        )
+    return np.cumsum(marginal), next_zero
 
 
 def run_sampled(
@@ -534,13 +574,20 @@ def run_sampled(
 ) -> ProtocolReport:
     """Monte Carlo run drawing transcripts from the exact branch law.
 
-    Each trial uses its own counter-based stream keyed by (seed, trial), so
-    results are reproducible and independent of trial order or threading.
-    Within a trial the transcript is sampled ancestrally, the sender
-    outcome first and then each helper bit from its exact conditional.  The
-    returned report reuses the exact per-branch grading and carries the
-    observed branch counts; its p_strict and p_fidelity are empirical
-    frequencies.
+    Trial k reads its own counter-based stream: the draws of
+    ``np.random.Generator(np.random.Philox(key=np.array([seed, k],
+    dtype=np.uint64))).random()``, that is Philox4x64-10 keyed on the 64-bit
+    words (seed, k) with the counter starting at 1 and each output word w
+    mapped to (w >> 11) 2^-53.  Any seed in [0, 2^64) is used as its full
+    64-bit word.  The transcript is
+    sampled ancestrally: draw 0 picks the sender outcome by inverting the
+    cumulative sender law, and draw d + 1 sets helper bit d to 0 exactly
+    when it falls below that bit's conditional probability of 0.  So a seed
+    reproduces identical counts on any machine, independent of trial
+    order, and trials are drawn in fixed-size batches, so memory stays flat
+    however many are requested.  The returned report reuses the exact
+    per-branch grading and carries the observed branch counts; its p_strict
+    and p_fidelity are empirical frequencies.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -549,35 +596,33 @@ def run_sampled(
         raise ValueError(f"seed must fit in an unsigned 64-bit word, got {seed}")
     exact = run_exact(variant, t, shares, rule, tol)
     n = exact.n
-    marginal, next_zero = _conditional_tables(exact)
-    cumulative = np.cumsum(marginal)
-    index_of = {
-        (bits_to_index(br.alice_bits), br.bob_bits): pos
-        for pos, br in enumerate(exact.branches)
-    }
-    counts = [0] * len(exact.branches)
-    strict_hits = 0
-    fidelity_hits = 0
-    for trial in range(trials):
-        gen = np.random.Generator(np.random.Philox(key=[seed, trial]))
-        l_idx = int(np.searchsorted(cumulative, gen.random(), side="right"))
-        l_idx = min(l_idx, (1 << n) - 1)
-        m_bits: tuple[int, ...] = ()
-        for _ in range(n - 1):
-            m_bits += (0,) if gen.random() < next_zero[(l_idx, m_bits)] else (1,)
-        pos = index_of[(l_idx, m_bits)]
-        counts[pos] += 1
-        br = exact.branches[pos]
-        if br.strict_match:
-            strict_hits += 1
-        if br.fidelity is not None and br.fidelity >= 1.0 - tol.success:
-            fidelity_hits += 1
+    helper_bits = n - 1
+    probabilities = np.array([br.probability for br in exact.branches])
+    cumulative, next_zero = _sampling_tables(probabilities.reshape(1 << n, -1))
+    thresholds = next_zero.ravel()
+    counts = np.zeros(len(exact.branches), dtype=np.int64)
+    for start in range(0, trials, _CHUNK):
+        batch = np.arange(start, min(start + _CHUNK, trials), dtype=np.uint64)
+        draws = _philox_uniforms(seed, batch, n)
+        l_idx = np.searchsorted(cumulative, draws[:, 0], side="right")
+        rows = np.minimum(l_idx, (1 << n) - 1) << helper_bits
+        node = np.ones(batch.size, dtype=np.intp)
+        for d in range(helper_bits):
+            bit = draws[:, d + 1] >= thresholds[rows | node]
+            node = (node << 1) | bit
+        counts += np.bincount(rows + node - (1 << helper_bits), minlength=counts.size)
+    strict = np.array([br.strict_match for br in exact.branches], dtype=bool)
+    faithful = np.array(
+        [br.fidelity is not None and br.fidelity >= 1.0 - tol.success
+         for br in exact.branches],
+        dtype=bool,
+    )
     return replace(
         exact,
         mode="sampled",
         trials=trials,
         seed=seed,
-        counts=tuple(counts),
-        p_strict=strict_hits / trials,
-        p_fidelity=fidelity_hits / trials,
+        counts=tuple(counts.tolist()),
+        p_strict=int(counts[strict].sum()) / trials,
+        p_fidelity=int(counts[faithful].sum()) / trials,
     )

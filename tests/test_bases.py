@@ -42,6 +42,11 @@ class TestTargetState:
         with pytest.raises(ValueError):
             TargetState(a, b)
 
+    @pytest.mark.parametrize("phi", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_phase(self, phi):
+        with pytest.raises(ValueError, match="finite"):
+            TargetState(0.6, 0.8, phi)
+
     def test_from_theta(self):
         t = TargetState.from_theta(np.pi / 4.0, 0.3)
         assert t.a == pytest.approx(t.b)

@@ -130,6 +130,18 @@ class TestSimulate:
         assert code == 1
         assert "error" in err.lower()
 
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    @pytest.mark.parametrize(
+        "flags", [["--phi", "nan"], ["--phi", "inf"], ["--shares", "nan,0.5"]]
+    )
+    def test_non_finite_phases_exit_one(self, capsys, mode, flags):
+        code, out, err = run_cli(
+            capsys, ["simulate", *flags, "--mode", mode, "--trials", "10"]
+        )
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as info:
             main(["simulate", "--bogus"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,14 @@ class TestRunArgumentValidation:
         with pytest.raises(ValueError):
             run_exact("improved", TargetState(0.6, 0.8, 0.9), (0.9,), "mystery")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_shares_must_be_finite(self, bad):
+        t = TargetState(0.6, 0.8, 1.1)
+        with pytest.raises(ValueError, match="finite"):
+            run_exact("improved", t, (bad, 0.55), "derived")
+        with pytest.raises(ValueError, match="finite"):
+            run_sampled("bich3", t, (0.55, bad), "table1", 10, 0)
+
 
 class TestSequentialEquivalence:
     """The factored helper cascade must agree with one-by-one measurements."""
@@ -344,9 +354,12 @@ class TestRunSampled:
 
     def test_different_seeds_differ(self):
         t = TargetState(0.6, 0.8, 1.1)
-        a = run_sampled("bich3", t, (0.55, 0.55), "table1", 2000, 31)
-        b = run_sampled("bich3", t, (0.55, 0.55), "table1", 2000, 32)
-        assert a.counts != b.counts
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed_a, seed_b in ((31, 32), (2**63, 2**63 + 1), (0, 2**64 - 1)):
+                a = run_sampled("bich3", t, (0.55, 0.55), "table1", 2000, seed_a)
+                b = run_sampled("bich3", t, (0.55, 0.55), "table1", 2000, seed_b)
+                assert a.counts != b.counts
 
     def test_empirical_rate_tracks_exact_rate(self):
         t = TargetState(0.6, 0.8, 1.1)
