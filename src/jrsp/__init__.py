@@ -41,7 +41,6 @@ from .bases import (
 from .protocol import (
     VARIANTS,
     BranchRecord,
-    ClassicalMessage,
     ProtocolReport,
     bob_branches,
     build_channel,
@@ -94,7 +93,6 @@ __all__ = [
     "table2_recovery",
     "VARIANTS",
     "BranchRecord",
-    "ClassicalMessage",
     "ProtocolReport",
     "bob_branches",
     "build_channel",

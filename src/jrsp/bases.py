@@ -170,21 +170,6 @@ def bich_basis_selector(klm: Sequence[int] | str) -> tuple[int, int]:
     return _BICH_SELECTOR[bits_to_index(bits)]
 
 
-def bich_recovery_table(klm: Sequence[int] | str, n: int, s: int) -> RecoveryOp:
-    """Corrected receiver lookup for the bich3 scheme.
-
-    Args:
-        klm: the three sender outcome bits.
-        n: the first helper's outcome bit.
-        s: the second helper's outcome bit.
-    """
-    bits = as_bits(klm, 3)
-    if n not in (0, 1) or s not in (0, 1):
-        raise ValueError(f"helper outcomes must be bits, got n={n!r} s={s!r}")
-    key = "".join(str(v) for v in (*bits, n, s))
-    return RecoveryOp.from_label(_BICH_TABLE1[key])
-
-
 def improved_alice_basis(t: TargetState, n: int) -> OrthonormalBasis:
     """First sender's n-qubit basis in the improved scheme.
 
@@ -240,7 +225,49 @@ def printed_improved_matrix3(t: TargetState) -> np.ndarray:
     return mat
 
 
-def _rule_bits(l: Sequence[int] | str, m: Sequence[int] | str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _parity(bits, width: int):
+    """Parity of the low width bits of an integer or an integer array."""
+    out = bits & 0
+    for j in range(width):
+        out = out ^ ((bits >> j) & 1)
+    return out
+
+
+# Rules as op codes (RecoveryOp.code, x + 2 z) over big-endian outcome
+# indices: l over the n sender bits, m over the n - 1 helper bits.  Each
+# works elementwise on integer arrays, which is how the protocol engine
+# evaluates a rule on every branch at once, and on plain integers, which is
+# how the per-transcript functions below evaluate it.
+
+def _derived_codes(l, m, n: int):
+    z = ((l >> (n - 1)) & 1) ^ _parity(m, n - 1)
+    return (l & 1) | (z << 1)
+
+
+def _paper_step3_codes(l, m, n: int):
+    z = (l & 1) ^ _parity(m, n - 1)
+    return _parity(l, n) | (z << 1)
+
+
+def _table2_codes(l, m, n: int):
+    return (l & 1) | (_parity(m, n - 1) << 1)
+
+
+_TABLE1_CODES = np.array(
+    [RecoveryOp.from_label(_BICH_TABLE1[f"{key:05b}"]).code for key in range(32)],
+    dtype=np.int8,
+)
+
+
+def _table1_codes(l, m, n: int):
+    return _TABLE1_CODES[(l << 2) | m]
+
+
+def _apply_codes(
+    codes: Callable, l: Sequence[int] | str, m: Sequence[int] | str,
+    requires_n: int | None = None,
+) -> RecoveryOp:
+    """Evaluate an op-code rule on one transcript given as bits."""
     l_bits = as_bits(l)
     m_bits = as_bits(m)
     if len(l_bits) != len(m_bits) + 1:
@@ -248,7 +275,27 @@ def _rule_bits(l: Sequence[int] | str, m: Sequence[int] | str) -> tuple[tuple[in
             f"expected one more sender bit than helper bits, got {len(l_bits)} "
             f"sender and {len(m_bits)} helper bits"
         )
-    return l_bits, m_bits
+    if requires_n is not None and len(l_bits) != requires_n:
+        raise ValueError(
+            f"this tabulated rule covers exactly {requires_n} sender bits, "
+            f"got {len(l_bits)}"
+        )
+    code = codes(bits_to_index(l_bits), bits_to_index(m_bits), len(l_bits))
+    return RecoveryOp.from_code(code)
+
+
+def bich_recovery_table(klm: Sequence[int] | str, n: int, s: int) -> RecoveryOp:
+    """Corrected receiver lookup for the bich3 scheme.
+
+    Args:
+        klm: the three sender outcome bits.
+        n: the first helper's outcome bit.
+        s: the second helper's outcome bit.
+    """
+    bits = as_bits(klm, 3)
+    if n not in (0, 1) or s not in (0, 1):
+        raise ValueError(f"helper outcomes must be bits, got n={n!r} s={s!r}")
+    return RecoveryOp.from_code(_table1_codes(bits_to_index(bits), (n << 1) | s, 3))
 
 
 def derived_recovery(l: Sequence[int] | str, m: Sequence[int] | str) -> RecoveryOp:
@@ -259,10 +306,7 @@ def derived_recovery(l: Sequence[int] | str, m: Sequence[int] | str) -> Recovery
     and Z on the parity of l_1 with the helper bits fixes the sign.  This
     rule restores the target exactly on every branch.
     """
-    l_bits, m_bits = _rule_bits(l, m)
-    z = (l_bits[0] + sum(m_bits)) % 2
-    x = l_bits[-1]
-    return RecoveryOp(x_exp=x, z_exp=z)
+    return _apply_codes(_derived_codes, l, m)
 
 
 def paper_step3_recovery(l: Sequence[int] | str, m: Sequence[int] | str) -> RecoveryOp:
@@ -273,10 +317,7 @@ def paper_step3_recovery(l: Sequence[int] | str, m: Sequence[int] | str) -> Reco
     agrees with :func:`derived_recovery` only when the sender bits satisfy
     l_1 = ... = l_n, so most branches come out wrong under it.
     """
-    l_bits, m_bits = _rule_bits(l, m)
-    z = (l_bits[-1] + sum(m_bits)) % 2
-    x = sum(l_bits) % 2
-    return RecoveryOp(x_exp=x, z_exp=z)
+    return _apply_codes(_paper_step3_codes, l, m)
 
 
 def table2_recovery(l: Sequence[int] | str, m: Sequence[int] | str) -> RecoveryOp:
@@ -287,33 +328,28 @@ def table2_recovery(l: Sequence[int] | str, m: Sequence[int] | str) -> RecoveryO
     needs, so it fails exactly on the l_1 = 1 half of the branches.  Only
     defined for the three-party case the table covers.
     """
-    l_bits, m_bits = _rule_bits(l, m)
-    if len(l_bits) != 3:
-        raise ValueError(
-            f"this tabulated rule covers exactly 3 sender bits, got {len(l_bits)}"
-        )
-    z = sum(m_bits) % 2
-    x = l_bits[-1]
-    return RecoveryOp(x_exp=x, z_exp=z)
+    return _apply_codes(_table2_codes, l, m, requires_n=3)
 
 
 @dataclass(frozen=True)
 class RecoveryRule:
     """A named recovery rule together with where it applies.
 
-    fn maps (sender bits, helper bits) to a RecoveryOp.  variant names the
-    protocol the rule belongs to and requires_n pins the party count when
-    the rule is a fixed-size table rather than a formula.
+    codes maps (sender outcome index l, helper outcome index m, sender bit
+    count n) to the op code RecoveryOp.code, elementwise over integer
+    arrays; calling the rule evaluates it on one transcript given as bits.
+    variant names the protocol the rule belongs to and requires_n pins the
+    party count when the rule is a fixed-size table rather than a formula.
     """
 
     name: str
     variant: str
-    fn: Callable[[Sequence[int] | str, Sequence[int] | str], RecoveryOp]
+    codes: Callable
     requires_n: int | None = None
     summary: str = ""
 
     def __call__(self, l: Sequence[int] | str, m: Sequence[int] | str) -> RecoveryOp:
-        return self.fn(l, m)
+        return _apply_codes(self.codes, l, m, self.requires_n)
 
     def check_applicable(self, variant: str, n: int) -> None:
         if variant != self.variant:
@@ -327,36 +363,30 @@ class RecoveryRule:
             )
 
 
-def _table1_rule(l: Sequence[int] | str, m: Sequence[int] | str) -> RecoveryOp:
-    l_bits = as_bits(l, 3)
-    m_bits = as_bits(m, 2)
-    return bich_recovery_table(l_bits, m_bits[0], m_bits[1])
-
-
 RULES: dict[str, RecoveryRule] = {
     "derived": RecoveryRule(
         name="derived",
         variant="improved",
-        fn=derived_recovery,
+        codes=_derived_codes,
         summary="rederived rule, exact on every branch for any party count",
     ),
     "paper-step3": RecoveryRule(
         name="paper-step3",
         variant="improved",
-        fn=paper_step3_recovery,
+        codes=_paper_step3_codes,
         summary="final-step rule as printed, correct only when all sender bits agree",
     ),
     "table2": RecoveryRule(
         name="table2",
         variant="improved",
-        fn=table2_recovery,
+        codes=_table2_codes,
         requires_n=3,
         summary="printed three-party table, correct only on the leading-bit-zero half",
     ),
     "table1": RecoveryRule(
         name="table1",
         variant="bich3",
-        fn=_table1_rule,
+        codes=_table1_codes,
         requires_n=3,
         summary="corrected receiver lookup for the three-party scheme",
     ),

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bases import RULES, TargetState, bich_alice_basis3, bich_bob_basis, improved_alice_basis, improved_bob_basis, printed_improved_matrix3
 from .protocol import VARIANTS, ProtocolReport, run_exact, run_sampled, split_phase
-from .qcore import DEFAULT_TOL, Tolerances
+from .qcore import DEFAULT_TOL, RecoveryOp, Tolerances
 from .verify import SEMANTICS, compare_rules, detect_errata, oracle_branches, success_probability
 
 __all__ = [
@@ -123,18 +123,6 @@ def _jnum(x: float) -> float:
 
 def _bits(bits: Sequence[int]) -> str:
     return "".join(str(v) for v in bits)
-
-
-def _phase_doc(phase: complex | None) -> dict | None:
-    if phase is None:
-        return None
-    return {"re": _jnum(phase.real), "im": _jnum(phase.imag)}
-
-
-def _phase_txt(phase: complex | None) -> str:
-    if phase is None:
-        return "-"
-    return f"{phase.real:.12g}{phase.imag:+.12g}j"
 
 
 def _load_config(path: str | None) -> dict:
@@ -263,21 +251,65 @@ def _resolve_config(args: argparse.Namespace, filed: dict) -> RunConfig:
     )
 
 
+def _graded(values: np.ndarray) -> list[tuple[float, str]]:
+    """(_jnum(v), _g(_jnum(v))) for every entry of a float column.
+
+    Each distinct bit pattern is rounded and printed once; keying on the
+    bits, not on the value, keeps -0.0 apart from 0.0.
+    """
+    keys, inverse = np.unique(
+        np.ascontiguousarray(values, dtype=np.float64).view(np.uint64),
+        return_inverse=True,
+    )
+    graded = [(x, _g(x)) for x in map(_jnum, keys.view(np.float64).tolist())]
+    return [graded[i] for i in inverse.ravel().tolist()]
+
+
+def _branch_rows(report: ProtocolReport) -> list[tuple]:
+    """One report-grade row per branch, read off the report's columns.
+
+    A row is (l, m, prob, recovery, fidelity, strict, phase_re, phase_im);
+    every number is a (value rounded to 12 digits, its text) pair, and
+    fidelity and the phase parts are None where the branch carries none.
+    prob is the exact probability, or the observed frequency of a sampled
+    run.  Every format renders these rows, so all three carry the same
+    numbers.
+    """
+    n, helpers = report.n, report.n - 1
+    l_txt = [format(l, f"0{n}b") for l in range(1 << n)]
+    m_txt = [format(m, f"0{helpers}b") for m in range(1 << helpers)]
+    labels = [RecoveryOp.from_code(code).label for code in range(4)]
+    if report.mode == "sampled":
+        prob = np.array(report.counts) / report.trials
+    else:
+        prob = report.prob
+    rows = []
+    for pos, (p, op, live, fid, strict, faithful, re, im) in enumerate(zip(
+        _graded(prob), report.ops.tolist(), report.live.tolist(),
+        _graded(report.fidelity), report.strict.tolist(), report.faithful.tolist(),
+        _graded(report.phase.real), _graded(report.phase.imag),
+    )):
+        rows.append((
+            l_txt[pos >> helpers], m_txt[pos & ((1 << helpers) - 1)], p, labels[op],
+            fid if live else None, strict,
+            re if faithful else None, im if faithful else None,
+        ))
+    return rows
+
+
 def _branch_docs(report: ProtocolReport) -> list[dict]:
-    sampled = report.mode == "sampled"
-    docs = []
-    for pos, br in enumerate(report.branches):
-        prob = report.counts[pos] / report.trials if sampled else br.probability
-        docs.append({
-            "l": _bits(br.alice_bits),
-            "m": _bits(br.bob_bits),
-            "prob": _jnum(prob),
-            "recovery": br.recovery.label,
-            "fidelity": None if br.fidelity is None else _jnum(br.fidelity),
-            "strict": br.strict_match,
-            "residual_phase": _phase_doc(br.residual_phase),
-        })
-    return docs
+    return [
+        {
+            "l": l,
+            "m": m,
+            "prob": prob[0],
+            "recovery": op,
+            "fidelity": None if fid is None else fid[0],
+            "strict": strict,
+            "residual_phase": None if re is None else {"re": re[0], "im": im[0]},
+        }
+        for l, m, prob, op, fid, strict, re, im in _branch_rows(report)
+    ]
 
 
 def _report_doc(config: RunConfig, report: ProtocolReport, errata=()) -> dict:
@@ -328,17 +360,20 @@ def _render_report_text(config: RunConfig, report: ProtocolReport) -> str:
         f"tolerances: {_tol_txt(report.tolerances)}",
         "",
     ]
-    header = f"{'l':<{max(1, report.n)}}  {'m':<{max(1, report.n - 1)}}  "
+    l_width, m_width = max(1, report.n), max(1, report.n - 1)
+    header = f"{'l':<{l_width}}  {'m':<{m_width}}  "
     header += f"{'prob':<16}  {'recovery':<8}  {'fidelity':<16}  {'strict':<6}  residual_phase"
     lines.append(header)
-    for doc in _branch_docs(report):
-        fid = "-" if doc["fidelity"] is None else _g(doc["fidelity"])
-        phase = doc["residual_phase"]
-        phase_txt = "-" if phase is None else f"{phase['re']:.12g}{phase['im']:+.12g}j"
+    for l, m, prob, op, fid, strict, re, im in _branch_rows(report):
+        fid_txt = "-" if fid is None else fid[1]
+        if re is None:
+            phase_txt = "-"
+        else:
+            sign = "" if im[1].startswith("-") else "+"
+            phase_txt = f"{re[1]}{sign}{im[1]}j"
         lines.append(
-            f"{doc['l']:<{max(1, report.n)}}  {doc['m']:<{max(1, report.n - 1)}}  "
-            f"{_g(doc['prob']):<16}  {doc['recovery']:<8}  {fid:<16}  "
-            f"{'yes' if doc['strict'] else 'no':<6}  {phase_txt}"
+            f"{l:<{l_width}}  {m:<{m_width}}  {prob[1]:<16}  {op:<8}  {fid_txt:<16}  "
+            f"{'yes' if strict else 'no':<6}  {phase_txt}"
         )
     lines += [
         "",
@@ -368,14 +403,13 @@ def _render_report_csv(config: RunConfig, report: ProtocolReport) -> str:
         f"# tolerances={_tol_txt(report.tolerances)}",
         "l,m,prob,recovery,fidelity,strict,residual_phase_re,residual_phase_im",
     ]
-    for doc in _branch_docs(report):
-        fid = "" if doc["fidelity"] is None else _g(doc["fidelity"])
-        phase = doc["residual_phase"]
-        re_txt = "" if phase is None else _g(phase["re"])
-        im_txt = "" if phase is None else _g(phase["im"])
+    for l, m, prob, op, fid, strict, re, im in _branch_rows(report):
+        fid_txt = "" if fid is None else fid[1]
+        re_txt = "" if re is None else re[1]
+        im_txt = "" if im is None else im[1]
         lines.append(
-            f"{doc['l']},{doc['m']},{_g(doc['prob'])},{doc['recovery']},"
-            f"{fid},{str(doc['strict']).lower()},{re_txt},{im_txt}"
+            f"{l},{m},{prob[1]},{op},{fid_txt},{'true' if strict else 'false'},"
+            f"{re_txt},{im_txt}"
         )
     return "\n".join(lines) + "\n"
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +47,6 @@ from .qcore import (
 
 __all__ = [
     "VARIANTS",
-    "ClassicalMessage",
     "BranchRecord",
     "ProtocolReport",
     "build_channel",
@@ -68,35 +67,6 @@ def _angle_gap(x: float, y: float) -> float:
     """Distance between two angles on the circle, in [0, pi]."""
     d = math.fmod(abs(x - y), _TWO_PI)
     return min(d, _TWO_PI - d)
-
-
-@dataclass(frozen=True)
-class ClassicalMessage:
-    """One classical broadcast: the sender's name, its bits, and the round.
-
-    Round 1 is the first sender announcing her joint outcome; round 2 is a
-    helper announcing her single bit.
-    """
-
-    sender: str
-    payload: str
-    step: int
-
-    def __post_init__(self) -> None:
-        as_bits(self.payload)
-        if self.step not in (1, 2):
-            raise ValueError(f"step must be 1 or 2, got {self.step!r}")
-        if self.step == 1 and self.sender != "Alice":
-            raise ValueError(f"round 1 broadcasts come from Alice, got {self.sender!r}")
-        if self.step == 2:
-            if not self.sender.startswith("Bob"):
-                raise ValueError(
-                    f"round 2 broadcasts come from a helper, got {self.sender!r}"
-                )
-            if len(self.payload) != 1:
-                raise ValueError(
-                    f"helper broadcasts carry one bit, got {self.payload!r}"
-                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,18 +94,6 @@ class BranchRecord:
     residual_phase: complex | None
 
     @property
-    def messages(self) -> tuple[ClassicalMessage, ...]:
-        """The broadcast transcript of this branch, in announcement order."""
-        first = ClassicalMessage(
-            "Alice", "".join(str(v) for v in self.alice_bits), 1
-        )
-        rest = tuple(
-            ClassicalMessage(f"Bob{j}", str(bit), 2)
-            for j, bit in enumerate(self.bob_bits, start=1)
-        )
-        return (first,) + rest
-
-    @property
     def transcript(self) -> str:
         """Compact l=... m=... rendering of the broadcast bits."""
         l_txt = "".join(str(v) for v in self.alice_bits)
@@ -145,11 +103,23 @@ class BranchRecord:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolReport:
-    """Outcome of one exact or sampled protocol run.
+    """Outcome of one exact or sampled protocol run, one column per field.
+
+    Branch i is the transcript with sender outcome index i >> (n - 1) and
+    helper outcome index i & (2^(n-1) - 1), both big endian, so the columns
+    run in sender-outcome-major order.  prob holds the exact branch
+    probabilities; pre and post, of shape (branches, 2), the receiver qubit
+    before and after recovery; ops the recovery op codes (RecoveryOp.code);
+    fidelity the fidelity of post to the target; phase the leftover unit
+    scalar.  live marks branches above the probability floor, faithful
+    those whose fidelity passes the success threshold, and strict those
+    whose phase is also a clean sign.  Where a branch record would hold None
+    the columns hold zeros: pre, post and fidelity off live branches, phase
+    off faithful ones.  The columns are read-only.
 
     p_strict and p_fidelity are exact branch-probability sums in exact mode
-    and empirical frequencies in sampled mode.  counts aligns with branches
-    and is only present for sampled runs, as are trials and seed.
+    and empirical frequencies in sampled mode.  counts aligns with the
+    columns and is only present for sampled runs, as are trials and seed.
     """
 
     variant: str
@@ -157,28 +127,56 @@ class ProtocolReport:
     target: TargetState
     shares: tuple[float, ...]
     rule: str
-    branches: tuple[BranchRecord, ...]
     p_strict: float
     p_fidelity: float
     tolerances: Tolerances
+    prob: np.ndarray
+    pre: np.ndarray
+    post: np.ndarray
+    ops: np.ndarray
+    fidelity: np.ndarray
+    phase: np.ndarray
+    live: np.ndarray
+    faithful: np.ndarray
+    strict: np.ndarray
     mode: str = "exact"
     trials: int | None = None
     seed: int | None = None
     counts: tuple[int, ...] | None = None
 
-    @property
-    def message_log(self) -> tuple[tuple[ClassicalMessage, ...], ...]:
-        """Per-branch broadcast transcripts, in branch enumeration order."""
-        return tuple(br.messages for br in self.branches)
+    @cached_property
+    def branches(self) -> tuple[BranchRecord, ...]:
+        """Every branch as a BranchRecord, built from the columns on first access."""
+        return tuple(self._record(i) for i in range(self.prob.size))
+
+    def _record(self, i: int) -> BranchRecord:
+        helpers = self.n - 1
+        l_bits = index_to_bits(i >> helpers, self.n)
+        m_bits = index_to_bits(i & ((1 << helpers) - 1), helpers)
+        op = RecoveryOp.from_code(self.ops[i])
+        if not self.live[i]:
+            return BranchRecord(
+                l_bits, m_bits, float(self.prob[i]), None, op, None, False, None, None
+            )
+        return BranchRecord(
+            l_bits,
+            m_bits,
+            float(self.prob[i]),
+            StateVector._trusted(self.pre[i], ("C",)),
+            op,
+            StateVector._trusted(self.post[i], ("C",)),
+            bool(self.strict[i]),
+            float(self.fidelity[i]),
+            complex(self.phase[i]) if self.faithful[i] else None,
+        )
 
     def branch(self, l: Sequence[int] | str, m: Sequence[int] | str) -> BranchRecord:
         """Look up a branch by its transcript bits."""
         l_bits = as_bits(l)
         m_bits = as_bits(m)
-        for br in self.branches:
-            if br.alice_bits == l_bits and br.bob_bits == m_bits:
-                return br
-        raise KeyError(f"no branch with l={l_bits} m={m_bits}")
+        if len(l_bits) != self.n or len(m_bits) != self.n - 1:
+            raise KeyError(f"no branch with l={l_bits} m={m_bits}")
+        return self._record((bits_to_index(l_bits) << (self.n - 1)) | bits_to_index(m_bits))
 
 
 def build_channel(n: int) -> StateVector:
@@ -348,15 +346,53 @@ def _alice_basis(variant: str, t: TargetState, n: int) -> OrthonormalBasis:
     return improved_alice_basis(t, n)
 
 
-def _helper_bases(
-    variant: str, l_bits: tuple[int, ...], shares: tuple[float, ...]
-) -> tuple[OrthonormalBasis, ...]:
+def _helper_matrices(variant: str, shares: tuple[float, ...]) -> np.ndarray:
+    """Every helper basis of a run, indexed [helper, variant bit, row, column].
+
+    Each of the 2(n - 1) bases is built once, through the constructors bound
+    in this module.
+    """
+    make = bich_bob_basis if variant == "bich3" else improved_bob_basis
+    return np.array([[make(bit, share).matrix for bit in (0, 1)] for share in shares])
+
+
+def _variant_bits(variant: str, n: int) -> np.ndarray:
+    """Basis variant bit of each helper for each sender outcome, (2^n, n - 1)."""
     if variant == "bich3":
-        r1, r2 = bich_basis_selector(l_bits)
-        return (bich_bob_basis(r1, shares[0]), bich_bob_basis(r2, shares[1]))
-    return tuple(
-        improved_bob_basis(l_bits[j], shares[j]) for j in range(len(shares))
-    )
+        return np.array([bich_basis_selector(index_to_bits(l, 3)) for l in range(8)])
+    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, 0, -1)) & 1
+
+
+def _helper_columns(mats: np.ndarray, variants: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Column k[l] of sender outcome l's joint helper basis, for every l.
+
+    The joint basis is the Kronecker product of the helper bases in label
+    order, so its column k is the Kronecker product of one column per
+    factor.  The factors are multiplied left to right, as np.kron does, so
+    every entry is bitwise the entry of the full product.
+    """
+    helpers = mats.shape[0]
+    col = mats[0][variants[:, 0], :, (k >> (helpers - 1)) & 1]
+    for j in range(1, helpers):
+        factor = mats[j][variants[:, j], :, (k >> (helpers - 1 - j)) & 1]
+        col = (col[:, :, None] * factor[:, None, :]).reshape(len(k), -1)
+    return col
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| as abs() computes it on a complex scalar; np.abs may differ in
+    the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
+def _unit_phases(overlaps: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """overlaps / |overlaps| where the mask is set and 0 elsewhere."""
+    out = np.zeros_like(overlaps)
+    np.divide(overlaps, _modulus(overlaps), out=out, where=where)
+    return out
+
+
+_PAULI = tuple(RecoveryOp.from_code(code).matrix for code in range(4))
 
 
 def _check_run_args(
@@ -404,90 +440,91 @@ def run_exact(
         tol: numerical budgets for grading.
 
     Returns:
-        A ProtocolReport with one BranchRecord per transcript, ordered by
+        A ProtocolReport with one column entry per transcript, ordered by
         sender outcome then helper bits, and the exact strict and fidelity
         success probabilities.
 
     The helper cascade is evaluated per sender outcome as one projective
     measurement in the tensor product of the helper bases, which by
     associativity of the projections equals the helper-by-helper sequence
-    that :func:`bob_branches` performs, branch for branch.
+    that :func:`bob_branches` performs, branch for branch.  Every stage
+    works on arrays over all sender outcomes or all branches at once; the
+    dense 2^(2n) channel is never built.  The results are bitwise those of
+    measuring the dense channel with :func:`projective_measure` and the full
+    helper Kronecker basis.
     """
     shares, n, resolved = _check_run_args(variant, t, shares, rule, tol)
-    channel = build_channel(n)
+    outcomes, helper_dim = 1 << n, 1 << (n - 1)
     alice = _alice_basis(variant, t, n)
-    target_conj = t.state("C").amplitudes.conj()
-    alice_outcomes = projective_measure(channel, channel.labels[:n], alice, tol)
-    helper_dim = 1 << (n - 1)
-    branches: list[BranchRecord] = []
-    p_strict = 0.0
-    p_fidelity = 0.0
-    for out in alice_outcomes:
-        l_bits = index_to_bits(out.outcome_index, n)
-        all_m = [index_to_bits(mi, n - 1) for mi in range(helper_dim)]
-        ops = [resolved(l_bits, m_bits) for m_bits in all_m]
-        if out.residual_state is None:
-            for m_bits, op in zip(all_m, ops):
-                branches.append(
-                    BranchRecord(l_bits, m_bits, 0.0, None, op, None, False, None, None)
-                )
-            continue
-        joint_basis = reduce(
-            np.kron,
-            [b.matrix for b in _helper_bases(variant, l_bits, shares)],
-        )
-        components = joint_basis.conj() @ out.residual_state.amplitudes.reshape(
-            helper_dim, 2
-        )
-        cond = np.einsum("mj,mj->m", components.conj(), components).real
-        live = cond >= tol.probability_floor
-        pre_rows = np.zeros_like(components)
-        pre_rows[live] = components[live] / np.sqrt(cond[live])[:, None]
-        post_rows = np.empty_like(pre_rows)
-        for distinct in {o.label: o for o in ops}.values():
-            mask = np.array([o.label == distinct.label for o in ops])
-            post_rows[mask] = pre_rows[mask] @ distinct.matrix.T
-        overlaps = post_rows @ target_conj
-        fids = np.abs(overlaps) ** 2
-        for mi, (m_bits, op) in enumerate(zip(all_m, ops)):
-            prob = float(out.probability * cond[mi])
-            if not live[mi]:
-                branches.append(
-                    BranchRecord(l_bits, m_bits, prob, None, op, None, False, None, None)
-                )
-                continue
-            fid = float(fids[mi])
-            phase: complex | None = None
-            strict = False
-            if fid >= 1.0 - tol.success:
-                phase = complex(overlaps[mi] / abs(overlaps[mi]))
-                strict = min(abs(phase - 1.0), abs(phase + 1.0)) <= tol.success
-                p_fidelity += prob
-            if strict:
-                p_strict += prob
-            branches.append(
-                BranchRecord(
-                    l_bits,
-                    m_bits,
-                    prob,
-                    StateVector._trusted(pre_rows[mi], ("C",)),
-                    op,
-                    StateVector._trusted(post_rows[mi], ("C",)),
-                    strict,
-                    fid,
-                    phase,
-                )
-            )
+
+    # On the sender's qubits the channel is 2^(-n/2) times the identity, so
+    # the measured components are the scaled conjugate basis rows.
+    comps = alice.matrix.conj() * 2.0 ** (-n / 2.0)
+    p_alice = np.einsum("mj,mj->m", comps.conj(), comps).real
+    alice_live = p_alice >= tol.probability_floor
+    norm = np.sqrt(p_alice, out=np.ones(outcomes), where=alice_live)
+
+    # Every sender row lives on one ket and its bitwise complement, so the
+    # post-sender state has two amplitudes, and each helper component is
+    # one product with a column of the joint helper basis.  The dense
+    # product adds exact zeros to that product; + 0.0 does the same to its
+    # zeros, turning -0 into +0.
+    rows = np.arange(outcomes)
+    ket = np.argmax(alice.matrix != 0, axis=1)
+    mats = _helper_matrices(variant, shares)
+    variants = _variant_bits(variant, n)
+    comp = np.empty((outcomes, helper_dim, 2), dtype=np.complex128)
+    for kets in (ket, ket ^ (outcomes - 1)):
+        amps = comps[rows, kets] / norm
+        column = _helper_columns(mats, variants, kets >> 1)
+        comp[rows, :, kets & 1] = column.conj() * amps[:, None] + 0.0
+    comp = comp.reshape(-1, 2)
+
+    cond = np.einsum("mj,mj->m", comp.conj(), comp).real
+    sender_live = np.repeat(alice_live, helper_dim)
+    prob = np.where(sender_live, np.repeat(p_alice, helper_dim) * cond, 0.0)
+    live = sender_live & (cond >= tol.probability_floor)
+    pre = np.zeros_like(comp)
+    pre[live] = comp[live] / np.sqrt(cond[live])[:, None]
+
+    l_idx, m_idx = np.divmod(np.arange(prob.size), helper_dim)
+    ops = np.asarray(resolved.codes(l_idx, m_idx, n), dtype=np.int8)
+    # A one-row product takes numpy's vector path, whose zeros can differ
+    # in sign from the matrix path's, so an op that occurs once among a
+    # sender outcome's branches is applied to that row alone, exactly as a
+    # product per sender outcome and op does it.
+    group = (l_idx << 2) | ops
+    once = np.bincount(group[sender_live], minlength=4 * outcomes)[group] == 1
+    post = np.zeros_like(pre)
+    for code, pauli in enumerate(_PAULI):
+        picked = live & (ops == code)
+        post[picked & ~once] = pre[picked & ~once] @ pauli.T
+        for i in np.flatnonzero(picked & once):
+            post[i : i + 1] = pre[i : i + 1] @ pauli.T
+
+    overlaps = post @ t.state("C").amplitudes.conj()
+    fidelity = np.where(live, np.abs(overlaps) ** 2, 0.0)
+    faithful = live & (fidelity >= 1.0 - tol.success)
+    phase = _unit_phases(overlaps, faithful)
+    gap = np.minimum(_modulus(phase - 1.0), _modulus(phase + 1.0))
+    strict = faithful & (gap <= tol.success)
+    columns = dict(
+        prob=prob, pre=pre, post=post, ops=ops, fidelity=fidelity, phase=phase,
+        live=live, faithful=faithful, strict=strict,
+    )
+    for column in columns.values():
+        column.setflags(write=False)
     return ProtocolReport(
         variant=variant,
         n=n,
         target=t,
         shares=shares,
         rule=resolved.name,
-        branches=tuple(branches),
-        p_strict=p_strict,
-        p_fidelity=p_fidelity,
+        # cumsum folds left to right, like a running += over the branches.
+        p_strict=float(np.cumsum(np.where(strict, prob, 0.0))[-1]),
+        p_fidelity=float(np.cumsum(np.where(faithful, prob, 0.0))[-1]),
         tolerances=tol,
+        **columns,
     )
 
 
@@ -597,10 +634,9 @@ def run_sampled(
     exact = run_exact(variant, t, shares, rule, tol)
     n = exact.n
     helper_bits = n - 1
-    probabilities = np.array([br.probability for br in exact.branches])
-    cumulative, next_zero = _sampling_tables(probabilities.reshape(1 << n, -1))
+    cumulative, next_zero = _sampling_tables(exact.prob.reshape(1 << n, -1))
     thresholds = next_zero.ravel()
-    counts = np.zeros(len(exact.branches), dtype=np.int64)
+    counts = np.zeros(exact.prob.size, dtype=np.int64)
     for start in range(0, trials, _CHUNK):
         batch = np.arange(start, min(start + _CHUNK, trials), dtype=np.uint64)
         draws = _philox_uniforms(seed, batch, n)
@@ -611,18 +647,12 @@ def run_sampled(
             bit = draws[:, d + 1] >= thresholds[rows | node]
             node = (node << 1) | bit
         counts += np.bincount(rows + node - (1 << helper_bits), minlength=counts.size)
-    strict = np.array([br.strict_match for br in exact.branches], dtype=bool)
-    faithful = np.array(
-        [br.fidelity is not None and br.fidelity >= 1.0 - tol.success
-         for br in exact.branches],
-        dtype=bool,
-    )
     return replace(
         exact,
         mode="sampled",
         trials=trials,
         seed=seed,
         counts=tuple(counts.tolist()),
-        p_strict=int(counts[strict].sum()) / trials,
-        p_fidelity=int(counts[faithful].sum()) / trials,
+        p_strict=int(counts[exact.strict].sum()) / trials,
+        p_fidelity=int(counts[exact.faithful].sum()) / trials,
     )

@@ -14,6 +14,7 @@ validates its input against the budgets in :class:`Tolerances`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,13 +49,22 @@ class Tolerances:
     the drift of derived states away from unit norm, probability_floor is the
     outcome weight below which no residual state is produced (avoiding a
     division by almost zero), and success is the threshold behind both the
-    strict and the fidelity success verdicts.
+    strict and the fidelity success verdicts.  Every budget must be finite
+    and nonnegative; a ValueError names the first one that is not.
     """
 
     equality: float = 1e-10
     norm: float = 1e-12
     probability_floor: float = 1e-14
     success: float = 1e-9
+
+    def __post_init__(self) -> None:
+        for key in ("equality", "norm", "probability_floor", "success"):
+            value = float(getattr(self, key))
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(
+                    f"tolerance {key!r} must be finite and nonnegative, got {value!r}"
+                )
 
 
 DEFAULT_TOL = Tolerances()
@@ -189,6 +199,19 @@ class RecoveryOp:
     @property
     def label(self) -> str:
         return self._LABELS[(self.x_exp, self.z_exp)]
+
+    @property
+    def code(self) -> int:
+        """Op code x_exp + 2 z_exp: 0, 1, 2, 3 for I, X, Z, ZX."""
+        return self.x_exp | (self.z_exp << 1)
+
+    @classmethod
+    def from_code(cls, code: int) -> "RecoveryOp":
+        """Inverse of :attr:`code`."""
+        code = int(code)
+        if not 0 <= code <= 3:
+            raise ValueError(f"op codes run from 0 to 3, got {code}")
+        return cls(code & 1, code >> 1)
 
     @classmethod
     def from_label(cls, label: str) -> "RecoveryOp":

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .bases import RecoveryRule, TargetState, printed_improved_matrix3
-from .protocol import ProtocolReport, generic_shares, run_exact
+from .protocol import ProtocolReport, _unit_phases, generic_shares, run_exact
 from .qcore import DEFAULT_TOL, RecoveryOp, StateVector, Tolerances
 
 __all__ = [
@@ -136,24 +136,23 @@ def oracle_branches(
     Returns one (operator, fidelity, residual phase) triple per branch,
     aligned with report.branches, or None for branches that carry no state.
     """
-    live = [i for i, br in enumerate(report.branches) if br.pre_recovery is not None]
     results: list[tuple[RecoveryOp, float, complex | None] | None]
-    results = [None] * len(report.branches)
-    if not live:
+    results = [None] * report.live.size
+    live = np.flatnonzero(report.live)
+    if not live.size:
         return tuple(results)
-    rows = np.stack([report.branches[i].pre_recovery.amplitudes for i in live])
-    overlaps = _pauli_overlaps(rows, report.target.state().amplitudes)
+    overlaps = _pauli_overlaps(report.pre[live], report.target.state().amplitudes)
     fids = np.abs(overlaps) ** 2
     best = np.argmax(fids, axis=0)
-    tol = report.tolerances
-    for col, i in enumerate(live):
-        idx = int(best[col])
-        fid = float(fids[idx, col])
-        phase: complex | None = None
-        if fid >= 1.0 - tol.success:
-            ov = overlaps[idx, col]
-            phase = complex(ov / abs(ov))
-        results[i] = (_PAULI_ORDER[idx], fid, phase)
+    cols = np.arange(live.size)
+    best_fids = fids[best, cols]
+    faithful = best_fids >= 1.0 - report.tolerances.success
+    phases = _unit_phases(overlaps[best, cols], faithful)
+    for i, idx, fid, ok, phase in zip(
+        live.tolist(), best.tolist(), best_fids.tolist(), faithful.tolist(),
+        phases.tolist(),
+    ):
+        results[i] = (_PAULI_ORDER[idx], fid, phase if ok else None)
     return tuple(results)
 
 
@@ -185,14 +184,17 @@ def compare_rules(
     p_strict = {name: reports[name].p_strict for name in reports}
     p_fidelity = {name: reports[name].p_fidelity for name in reports}
     ordered = list(reports)
-    reference = reports[ordered[0]]
+    n_helpers = n - 1
+    ops = np.stack([reports[name].ops for name in ordered])
     disagreements: list[tuple[str, str, dict[str, str]]] = []
-    for pos, branch in enumerate(reference.branches):
-        ops = {name: reports[name].branches[pos].recovery.label for name in ordered}
-        if len(set(ops.values())) > 1:
-            l_txt = "".join(str(v) for v in branch.alice_bits)
-            m_txt = "".join(str(v) for v in branch.bob_bits)
-            disagreements.append((l_txt, m_txt, ops))
+    for pos in np.flatnonzero((ops != ops[0]).any(axis=0)).tolist():
+        labels = {
+            name: RecoveryOp.from_code(code).label
+            for name, code in zip(ordered, ops[:, pos].tolist())
+        }
+        l_txt = format(pos >> n_helpers, f"0{n}b")
+        m_txt = format(pos & ((1 << n_helpers) - 1), f"0{n_helpers}b")
+        disagreements.append((l_txt, m_txt, labels))
     return RuleComparison(
         rules=tuple(names),
         p_strict=p_strict,
@@ -338,8 +340,7 @@ def _finding_unrecoverable(seed: int) -> ErratumFinding:
         shares = generic_shares(2, rng)
         t = TargetState(np.cos(theta), np.sin(theta), sum(shares))
         report = run_exact("bich3", t, shares, "table1")
-        fids = [br.fidelity for br in report.branches if br.fidelity is not None]
-        min_fid = min(min_fid, min(fids))
+        min_fid = min(min_fid, float(report.fidelity[report.live].min()))
         strict_values.append(report.p_strict)
         fidelity_values.append(report.p_fidelity)
         if k == 0:

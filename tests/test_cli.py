@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -194,6 +195,18 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out)["tolerances"]["success"] == 1e-6
 
+    @pytest.mark.parametrize("key", ["equality", "norm", "probability_floor", "success"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-1"])
+    def test_non_finite_or_negative_tolerances_exit_one(self, capsys, tmp_path, key, bad):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(f'{{"tolerances": {{"{key}": {bad}}}}}')
+        code, out, err = run_cli(
+            capsys, ["simulate", "--config", str(cfg), "--variant", "bich3"]
+        )
+        assert code == 1
+        assert out == ""
+        assert key in err
+
     def test_unknown_keys_are_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"varint": "improved"}))
@@ -328,6 +341,45 @@ class TestCompareRulesCommand:
         code, _, err = run_cli(capsys, ["compare-rules", "--rules", "psychic"])
         assert code == 1
         assert "error" in err
+
+
+# SHA-256 of simulate stdout, recorded with the per-branch engine and the
+# per-branch renderers; every byte of every format must stay the same.
+GOLDEN_SIMULATE = [
+    ([], {
+        "text": "cefc4366d5f0daffbbd38b684576b8e37ca4a144c1b871eb3638c6ff4cc3352c",
+        "json": "910328e0eff325da6cd0198a5615f6f344d83a107aa4e95d1aac6a1a1de49478",
+        "csv": "d617a6ce70b03fae5a5650c81b9ee0809b7a2e782b9e751cbef566c07aa0a807",
+    }),
+    (["--n", "8", "--shares-mode", "random", "--seed", "11", "--theta", "0.7"], {
+        "text": "54b0dda85d93fdc493d7c06a2d418cfd1744e57c2aa6d014cae4bf8a899223a4",
+        "json": "374e8c4e83554be1f93ddd90b3bb38bdc3f802bc75b529dc4678e5b79aa72f93",
+        "csv": "4a6f8e1cf2d25dfbf545be30007f6845a4e225f5703deecb3c4f2d4575d41cca",
+    }),
+    (["--variant", "bich3", "--rule", "table1"], {
+        "text": "a4e619aebf8c76797c7b4f2aa11259e14e59bb7dba2da743a7c209232dbbec17",
+        "json": "0d0152e543d11066f0073d2e14065fa8640a5510f1821f7b335523a7be9279c8",
+        "csv": "4e72ff2e71c72ed8ef5a660214747a64327c6e9ae00e0e99cf20c80a664268d3",
+    }),
+    (["--variant", "bich3", "--mode", "sample", "--trials", "1000", "--seed", "5"], {
+        "text": "215321bdd528a115c8380f2f2a54bed0f815b6a9a55911a8649322dbf5b86cef",
+        "json": "676c63635b7f316bd9c780f40ab5a2ad704d53a4f44c75d2fa70ce352e6a67f7",
+        "csv": "bd6802bb6e887fb15127327f80aa7cfcd2d1c88dc4d9ed8c3c661071b0b901a6",
+    }),
+    (["--a", "1", "--b", "0", "--phi", "0"], {
+        "text": "827fb77e1e2f054b672318113124af354c66199674c5ec565daf51bf56716711",
+        "json": "260ebd8abd70a97731baec88f45abba3ee68065e78a93f4ee67fcc839211556f",
+        "csv": "b73b44ab39bf50b11a6d13a8ac9e6259e54e10fb9fe2d01eeffbc9b78cbe105a",
+    }),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("flags, digests", GOLDEN_SIMULATE)
+def test_simulate_output_bytes_are_pinned(capsys, flags, digests, fmt):
+    code, out, _ = run_cli(capsys, ["simulate", *flags, "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[fmt]
 
 
 def test_parser_exposes_all_commands():

@@ -25,7 +25,6 @@ from jrsp import (
     run_sampled,
     split_phase,
 )
-from jrsp.protocol import ClassicalMessage
 
 TWO_PI = 2.0 * np.pi
 
@@ -87,24 +86,6 @@ def test_generic_shares_margins_and_reproducibility():
         for value in checks:
             assert abs(value / np.pi - round(value / np.pi)) * np.pi > 0.049
     assert generic_shares(3, 5) == generic_shares(3, 5)
-
-
-class TestClassicalMessage:
-    def test_round_one_comes_from_alice(self):
-        ClassicalMessage("Alice", "010", 1)
-        with pytest.raises(ValueError):
-            ClassicalMessage("Bob1", "010", 1)
-
-    def test_round_two_is_one_helper_bit(self):
-        ClassicalMessage("Bob2", "1", 2)
-        with pytest.raises(ValueError):
-            ClassicalMessage("Alice", "1", 2)
-        with pytest.raises(ValueError):
-            ClassicalMessage("Bob1", "01", 2)
-
-    def test_step_validation(self):
-        with pytest.raises(ValueError):
-            ClassicalMessage("Alice", "0", 3)
 
 
 class TestCollapseAfterAlice:
@@ -200,16 +181,8 @@ class TestRunExactBich3:
         br = report.branch("010", "01")
         assert br.alice_bits == (0, 1, 0)
         assert br.transcript == "l=010 m=01"
-        senders = [msg.sender for msg in br.messages]
-        assert senders == ["Alice", "Bob1", "Bob2"]
-        assert [msg.step for msg in br.messages] == [1, 2, 2]
         with pytest.raises(KeyError):
             report.branch("010", "11111")
-
-    def test_message_log_covers_every_branch(self, report):
-        log = report.message_log
-        assert len(log) == 32
-        assert log[0][0].payload == "000"
 
 
 class TestRunExactImproved:

@@ -143,6 +143,14 @@ class TestRecoveryOp:
         for name in ("I", "X", "Z", "ZX"):
             assert RecoveryOp.from_label(name).label == name
 
+    def test_op_codes_round_trip_in_label_order(self):
+        labels = [RecoveryOp.from_code(code).label for code in range(4)]
+        assert labels == ["I", "X", "Z", "ZX"]
+        for code in range(4):
+            assert RecoveryOp.from_code(code).code == code
+        with pytest.raises(ValueError):
+            RecoveryOp.from_code(4)
+
     def test_matrix_applies_x_before_z(self):
         zx = RecoveryOp(1, 1).matrix
         x = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -220,3 +228,14 @@ def test_tolerances_defaults():
     assert DEFAULT_TOL.norm == 1e-12
     assert DEFAULT_TOL.probability_floor == 1e-14
     assert DEFAULT_TOL.success == 1e-9
+
+
+@pytest.mark.parametrize("key", ["equality", "norm", "probability_floor", "success"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_tolerances_reject_non_finite_and_negative_values(key, bad):
+    with pytest.raises(ValueError, match=key):
+        Tolerances(**{key: bad})
+
+
+def test_tolerances_accept_zero():
+    assert Tolerances(equality=0.0, norm=0.0, probability_floor=0.0, success=0.0).success == 0.0
