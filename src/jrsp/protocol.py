@@ -179,14 +179,25 @@ class ProtocolReport:
         return self._record((bits_to_index(l_bits) << (self.n - 1)) | bits_to_index(m_bits))
 
 
+# Largest party count accepted: the sender basis is a dense 2^n x 2^n
+# matrix whose orthonormality check costs O(8^n).
+_MAX_PARTIES = 12
+
+
+def _check_party_count(n: int) -> None:
+    if not 2 <= n <= _MAX_PARTIES:
+        raise ValueError(
+            f"supported party counts are 2 <= n <= {_MAX_PARTIES}, got n={n}"
+        )
+
+
 def build_channel(n: int) -> StateVector:
     """Channel of n shared EPR pairs in the layout A1..An, B1..B(n-1), C.
 
     Each pair is (|00> + |11>)/sqrt 2, so the amplitudes are 2^{-n/2} on
     exactly the indices whose A-block bits repeat in the B and C bits.
     """
-    if not 2 <= n <= 12:
-        raise ValueError(f"supported channel sizes are 2 <= n <= 12, got n={n}")
+    _check_party_count(n)
     amps = np.zeros(1 << (2 * n), dtype=np.complex128)
     weight = 2.0 ** (-n / 2.0)
     for x in range(1 << n):
@@ -392,7 +403,27 @@ def _unit_phases(overlaps: np.ndarray, where: np.ndarray) -> np.ndarray:
     return out
 
 
-_PAULI = tuple(RecoveryOp.from_code(code).matrix for code in range(4))
+# The four Pauli words indexed by op code: I, X, Z, ZX.
+_PAULI_OPS = tuple(RecoveryOp.from_code(code) for code in range(4))
+
+
+def _rule_codes(
+    rule: RecoveryRule, l_idx: np.ndarray, m_idx: np.ndarray, n: int
+) -> np.ndarray:
+    """The rule's op codes for every branch, checked to be one code in
+    0..3 per branch."""
+    codes = np.asarray(rule.codes(l_idx, m_idx, n))
+    if codes.shape != l_idx.shape or codes.dtype.kind not in "iu":
+        raise ValueError(
+            f"rule {rule.name!r} must give one integer op code per branch, "
+            f"got {codes.dtype} values of shape {codes.shape}"
+        )
+    if codes.size and not (0 <= codes.min() and codes.max() <= 3):
+        raise ValueError(
+            f"rule {rule.name!r} gave op codes outside 0..3: "
+            f"{sorted(set(codes[(codes < 0) | (codes > 3)].tolist()))[:5]}"
+        )
+    return codes.astype(np.int8)
 
 
 def _check_run_args(
@@ -401,11 +432,10 @@ def _check_run_args(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     shares = tuple(float(v) for v in shares)
-    if len(shares) < 1:
-        raise ValueError("need at least one phase share")
+    n = len(shares) + 1
+    _check_party_count(n)
     if not all(math.isfinite(v) for v in shares):
         raise ValueError(f"phase shares must be finite, got {shares}")
-    n = len(shares) + 1
     if variant == "bich3" and n != 3:
         raise ValueError(
             f"variant 'bich3' needs exactly 2 phase shares, got {len(shares)}"
@@ -488,7 +518,7 @@ def run_exact(
     pre[live] = comp[live] / np.sqrt(cond[live])[:, None]
 
     l_idx, m_idx = np.divmod(np.arange(prob.size), helper_dim)
-    ops = np.asarray(resolved.codes(l_idx, m_idx, n), dtype=np.int8)
+    ops = _rule_codes(resolved, l_idx, m_idx, n)
     # A one-row product takes numpy's vector path, whose zeros can differ
     # in sign from the matrix path's, so an op that occurs once among a
     # sender outcome's branches is applied to that row alone, exactly as a
@@ -496,7 +526,8 @@ def run_exact(
     group = (l_idx << 2) | ops
     once = np.bincount(group[sender_live], minlength=4 * outcomes)[group] == 1
     post = np.zeros_like(pre)
-    for code, pauli in enumerate(_PAULI):
+    for code, op in enumerate(_PAULI_OPS):
+        pauli = op.matrix
         picked = live & (ops == code)
         post[picked & ~once] = pre[picked & ~once] @ pauli.T
         for i in np.flatnonzero(picked & once):

@@ -19,7 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from .bases import RecoveryRule, TargetState, printed_improved_matrix3
-from .protocol import ProtocolReport, _unit_phases, generic_shares, run_exact
+from .protocol import (
+    _PAULI_OPS,
+    ProtocolReport,
+    _unit_phases,
+    generic_shares,
+    run_exact,
+)
 from .qcore import DEFAULT_TOL, RecoveryOp, StateVector, Tolerances
 
 __all__ = [
@@ -34,14 +40,6 @@ __all__ = [
 ]
 
 SEMANTICS = ("strict", "fidelity")
-
-# Search order doubles as the tie-break order.
-_PAULI_ORDER = (
-    RecoveryOp(0, 0),
-    RecoveryOp(1, 0),
-    RecoveryOp(0, 1),
-    RecoveryOp(1, 1),
-)
 
 # Fixed generic target used by the reproducible findings: a^2 != b^2 and the
 # phase avoids every multiple of pi/2, so no wrong operator can fake
@@ -97,12 +95,12 @@ def success_probability(report: ProtocolReport, semantics: str) -> float:
 def _pauli_overlaps(rows: np.ndarray, target_amps: np.ndarray) -> np.ndarray:
     """Complex overlaps of target with each Pauli word applied to each row.
 
-    rows has one state per row; the result has shape (4, len(rows)) in the
-    fixed search order.
+    rows has one state per row; the result has shape (4, len(rows)) in op
+    code order I, X, Z, ZX, which is also the search and tie-break order.
     """
     target_conj = target_amps.conj()
     out = np.empty((4, rows.shape[0]), dtype=np.complex128)
-    for idx, op in enumerate(_PAULI_ORDER):
+    for idx, op in enumerate(_PAULI_OPS):
         out[idx] = (rows @ op.matrix.T) @ target_conj
     return out
 
@@ -125,7 +123,7 @@ def best_pauli(
     phase: complex | None = None
     if fid >= 1.0 - tol.success:
         phase = complex(overlaps[idx] / abs(overlaps[idx]))
-    return _PAULI_ORDER[idx], fid, phase
+    return _PAULI_OPS[idx], fid, phase
 
 
 def oracle_branches(
@@ -152,7 +150,7 @@ def oracle_branches(
         live.tolist(), best.tolist(), best_fids.tolist(), faithful.tolist(),
         phases.tolist(),
     ):
-        results[i] = (_PAULI_ORDER[idx], fid, phase if ok else None)
+        results[i] = (_PAULI_OPS[idx], fid, phase if ok else None)
     return tuple(results)
 
 

@@ -31,9 +31,9 @@ from jrsp import (
     improved_bob_basis,
     projective_measure,
 )
-from jrsp.protocol import ProtocolReport, _check_run_args
+from jrsp.protocol import _PAULI_OPS, ProtocolReport, _check_run_args
 from jrsp.qcore import DEFAULT_TOL, index_to_bits
-from jrsp.verify import _PAULI_ORDER, _pauli_overlaps
+from jrsp.verify import _pauli_overlaps
 
 
 @dataclass(frozen=True)
@@ -144,5 +144,5 @@ def reference_oracle_branches(report: ProtocolReport):
         if fid >= 1.0 - report.tolerances.success:
             ov = overlaps[idx, col]
             phase = complex(ov / abs(ov))
-        results[i] = (_PAULI_ORDER[idx], fid, phase)
+        results[i] = (_PAULI_OPS[idx], fid, phase)
     return tuple(results)

@@ -124,6 +124,8 @@ class TestSimulate:
             ["simulate", "--variant", "bich3", "--rule", "derived"],
             ["simulate", "--a", "0.9", "--b", "0.9"],
             ["simulate", "--seed", "-4"],
+            ["simulate", "--n", "13"],
+            ["simulate", "--n", "13", "--mode", "sample"],
         ],
     )
     def test_config_errors_exit_one(self, capsys, argv):

@@ -10,6 +10,7 @@ import pytest
 from conftest import generic_run_args
 
 from jrsp import (
+    RecoveryRule,
     TargetState,
     bich_alice_basis3,
     bich_basis_selector,
@@ -265,6 +266,31 @@ class TestRunArgumentValidation:
             run_exact("improved", t, (bad, 0.55), "derived")
         with pytest.raises(ValueError, match="finite"):
             run_sampled("bich3", t, (0.55, bad), "table1", 10, 0)
+
+    @pytest.mark.parametrize("helpers", [0, 12, 13])
+    def test_party_count_is_bounded(self, helpers):
+        # n = helpers + 1 outside 2..12 is refused before any basis is built.
+        t = TargetState(0.6, 0.8, 0.0)
+        with pytest.raises(ValueError, match="party count"):
+            run_exact("improved", t, (0.0,) * helpers, "derived")
+        with pytest.raises(ValueError, match="party count"):
+            run_sampled("improved", t, (0.0,) * helpers, "derived", 10, 0)
+
+    @pytest.mark.parametrize(
+        "codes, match",
+        [
+            (lambda l, m, n: np.full(l.shape, 4), "outside 0..3"),
+            (lambda l, m, n: np.full(l.shape, -1), "outside 0..3"),
+            (lambda l, m, n: np.full(l.shape, 256), "outside 0..3"),
+            (lambda l, m, n: 0, "one integer op code per branch"),
+            (lambda l, m, n: np.zeros(l.size + 1, dtype=int), "one integer op code per branch"),
+            (lambda l, m, n: np.zeros(l.shape), "one integer op code per branch"),
+        ],
+    )
+    def test_rule_codes_are_checked(self, codes, match):
+        rule = RecoveryRule(name="custom", variant="improved", codes=codes)
+        with pytest.raises(ValueError, match=f"rule 'custom' .*{match}"):
+            run_exact("improved", TargetState(0.6, 0.8, 1.1), (0.55, 0.55), rule)
 
 
 class TestSequentialEquivalence:
