@@ -10,18 +10,9 @@ audit, including a structured report of its internal inconsistencies.
 from .qcore import (
     DEFAULT_TOL,
     OrthonormalBasis,
-    ProjectiveOutcome,
     RecoveryOp,
     StateVector,
     Tolerances,
-    TwoByTwoUnitary,
-    apply_one_qubit,
-    apply_recovery,
-    basis_ket,
-    fidelity,
-    projective_measure,
-    reorder,
-    tensor,
 )
 from .bases import (
     RULES,
@@ -30,21 +21,14 @@ from .bases import (
     bich_alice_basis3,
     bich_basis_selector,
     bich_bob_basis,
-    bich_recovery_table,
-    derived_recovery,
     improved_alice_basis,
     improved_bob_basis,
-    paper_step3_recovery,
     printed_improved_matrix3,
-    table2_recovery,
 )
 from .protocol import (
     VARIANTS,
     BranchRecord,
     ProtocolReport,
-    bob_branches,
-    build_channel,
-    collapse_after_alice,
     generic_shares,
     run_exact,
     run_sampled,
@@ -66,37 +50,21 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_TOL",
     "OrthonormalBasis",
-    "ProjectiveOutcome",
     "RecoveryOp",
     "StateVector",
     "Tolerances",
-    "TwoByTwoUnitary",
-    "apply_one_qubit",
-    "apply_recovery",
-    "basis_ket",
-    "fidelity",
-    "projective_measure",
-    "reorder",
-    "tensor",
     "RULES",
     "RecoveryRule",
     "TargetState",
     "bich_alice_basis3",
     "bich_basis_selector",
     "bich_bob_basis",
-    "bich_recovery_table",
-    "derived_recovery",
     "improved_alice_basis",
     "improved_bob_basis",
-    "paper_step3_recovery",
     "printed_improved_matrix3",
-    "table2_recovery",
     "VARIANTS",
     "BranchRecord",
     "ProtocolReport",
-    "bob_branches",
-    "build_channel",
-    "collapse_after_alice",
     "generic_shares",
     "run_exact",
     "run_sampled",

@@ -36,13 +36,9 @@ __all__ = [
     "bich_alice_basis3",
     "bich_bob_basis",
     "bich_basis_selector",
-    "bich_recovery_table",
     "improved_alice_basis",
     "improved_bob_basis",
     "printed_improved_matrix3",
-    "derived_recovery",
-    "paper_step3_recovery",
-    "table2_recovery",
     "RecoveryRule",
     "RULES",
 ]
@@ -234,22 +230,43 @@ def _parity(bits, width: int):
 
 
 # Rules as op codes (RecoveryOp.code, x + 2 z) over big-endian outcome
-# indices: l over the n sender bits, m over the n - 1 helper bits.  Each
-# works elementwise on integer arrays, which is how the protocol engine
-# evaluates a rule on every branch at once, and on plain integers, which is
-# how the per-transcript functions below evaluate it.
+# indices: l over the n sender bits l_1..l_n, m over the n - 1 helper bits
+# m_1..m_(n-1).  Each works elementwise on integer arrays, which is how the
+# protocol engine evaluates a rule on every branch at once, and on plain
+# integers, which is how RecoveryRule.__call__ evaluates it on one
+# transcript.
 
 def _derived_codes(l, m, n: int):
+    """Recovery rule rederived from the collapsed receiver state.
+
+    The receiver holds a|l_n> + (-1)^{l_1 xor m_1 xor ... xor m_(n-1)}
+    b e^{i phi} |l_n~> after all measurements, so X^{l_n} fixes the bit flip
+    and Z on the parity of l_1 with the helper bits fixes the sign.  This
+    rule restores the target exactly on every branch.
+    """
     z = ((l >> (n - 1)) & 1) ^ _parity(m, n - 1)
     return (l & 1) | (z << 1)
 
 
 def _paper_step3_codes(l, m, n: int):
+    """Recovery rule exactly as printed in the improved scheme's final step.
+
+    Transcribed verbatim for comparison: Z is driven by the parity of l_n
+    with the helper bits and X by the parity of all sender bits.  It agrees
+    with the derived rule only when l_1 = ... = l_n, so most branches come
+    out wrong under it.
+    """
     z = (l & 1) ^ _parity(m, n - 1)
     return _parity(l, n) | (z << 1)
 
 
 def _table2_codes(l, m, n: int):
+    """Recovery rule read off the improved scheme's printed three-party table.
+
+    The table puts Z on the parity of the two helper bits and X on the last
+    sender bit, dropping the leading sender bit l_1 that the derived rule
+    needs, so it fails exactly on the l_1 = 1 half of the branches.
+    """
     return (l & 1) | (_parity(m, n - 1) << 1)
 
 
@@ -260,75 +277,9 @@ _TABLE1_CODES = np.array(
 
 
 def _table1_codes(l, m, n: int):
+    """Corrected receiver lookup of the bich3 scheme, keyed by the five
+    broadcast bits: the three sender bits klm, then the helper bits n and s."""
     return _TABLE1_CODES[(l << 2) | m]
-
-
-def _apply_codes(
-    codes: Callable, l: Sequence[int] | str, m: Sequence[int] | str,
-    requires_n: int | None = None,
-) -> RecoveryOp:
-    """Evaluate an op-code rule on one transcript given as bits."""
-    l_bits = as_bits(l)
-    m_bits = as_bits(m)
-    if len(l_bits) != len(m_bits) + 1:
-        raise ValueError(
-            f"expected one more sender bit than helper bits, got {len(l_bits)} "
-            f"sender and {len(m_bits)} helper bits"
-        )
-    if requires_n is not None and len(l_bits) != requires_n:
-        raise ValueError(
-            f"this tabulated rule covers exactly {requires_n} sender bits, "
-            f"got {len(l_bits)}"
-        )
-    code = codes(bits_to_index(l_bits), bits_to_index(m_bits), len(l_bits))
-    return RecoveryOp.from_code(code)
-
-
-def bich_recovery_table(klm: Sequence[int] | str, n: int, s: int) -> RecoveryOp:
-    """Corrected receiver lookup for the bich3 scheme.
-
-    Args:
-        klm: the three sender outcome bits.
-        n: the first helper's outcome bit.
-        s: the second helper's outcome bit.
-    """
-    bits = as_bits(klm, 3)
-    if n not in (0, 1) or s not in (0, 1):
-        raise ValueError(f"helper outcomes must be bits, got n={n!r} s={s!r}")
-    return RecoveryOp.from_code(_table1_codes(bits_to_index(bits), (n << 1) | s, 3))
-
-
-def derived_recovery(l: Sequence[int] | str, m: Sequence[int] | str) -> RecoveryOp:
-    """Recovery rule rederived from the collapsed receiver state.
-
-    The receiver holds a|l_n> + (-1)^{l_1 xor m_1 xor ... xor m_{n-1}}
-    b e^{i phi} |l_n~| after all measurements, so X^{l_n} fixes the bit flip
-    and Z on the parity of l_1 with the helper bits fixes the sign.  This
-    rule restores the target exactly on every branch.
-    """
-    return _apply_codes(_derived_codes, l, m)
-
-
-def paper_step3_recovery(l: Sequence[int] | str, m: Sequence[int] | str) -> RecoveryOp:
-    """Recovery rule exactly as printed in the improved scheme's final step.
-
-    Transcribed verbatim for comparison purposes: Z is driven by the parity
-    of l_n with the helper bits and X by the parity of all sender bits.  It
-    agrees with :func:`derived_recovery` only when the sender bits satisfy
-    l_1 = ... = l_n, so most branches come out wrong under it.
-    """
-    return _apply_codes(_paper_step3_codes, l, m)
-
-
-def table2_recovery(l: Sequence[int] | str, m: Sequence[int] | str) -> RecoveryOp:
-    """Recovery rule read off the improved scheme's printed three-party table.
-
-    The table tabulates Z on the parity of the two helper bits and X on the
-    last sender bit, dropping the leading sender bit that the derived rule
-    needs, so it fails exactly on the l_1 = 1 half of the branches.  Only
-    defined for the three-party case the table covers.
-    """
-    return _apply_codes(_table2_codes, l, m, requires_n=3)
 
 
 @dataclass(frozen=True)
@@ -349,7 +300,20 @@ class RecoveryRule:
     summary: str = ""
 
     def __call__(self, l: Sequence[int] | str, m: Sequence[int] | str) -> RecoveryOp:
-        return _apply_codes(self.codes, l, m, self.requires_n)
+        l_bits = as_bits(l)
+        m_bits = as_bits(m)
+        if len(l_bits) != len(m_bits) + 1:
+            raise ValueError(
+                f"expected one more sender bit than helper bits, got {len(l_bits)} "
+                f"sender and {len(m_bits)} helper bits"
+            )
+        if self.requires_n is not None and len(l_bits) != self.requires_n:
+            raise ValueError(
+                f"rule {self.name!r} covers exactly {self.requires_n} sender bits, "
+                f"got {len(l_bits)}"
+            )
+        code = self.codes(bits_to_index(l_bits), bits_to_index(m_bits), len(l_bits))
+        return RecoveryOp.from_code(code)
 
     def check_applicable(self, variant: str, n: int) -> None:
         if variant != self.variant:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -28,16 +28,7 @@ from .protocol import VARIANTS, ProtocolReport, run_exact, run_sampled, split_ph
 from .qcore import DEFAULT_TOL, RecoveryOp, Tolerances
 from .verify import SEMANTICS, compare_rules, detect_errata, oracle_branches, success_probability
 
-__all__ = [
-    "RunConfig",
-    "cmd_simulate",
-    "cmd_table",
-    "cmd_check_bases",
-    "cmd_errata",
-    "cmd_compare_rules",
-    "build_parser",
-    "main",
-]
+__all__ = ["main"]
 
 _FORMATS = ("text", "json", "csv")
 _MODES = ("exact", "sample")
@@ -93,12 +84,7 @@ class RunConfig:
             "mode": self.mode,
             "trials": self.trials,
             "seed": self.seed,
-            "tolerances": {
-                "equality": self.tolerances.equality,
-                "norm": self.tolerances.norm,
-                "probability_floor": self.tolerances.probability_floor,
-                "success": self.tolerances.success,
-            },
+            "tolerances": asdict(self.tolerances),
             "format": self.format,
         }
 
@@ -142,6 +128,31 @@ def _load_config(path: str | None) -> dict:
     return raw
 
 
+# Config values are taken at their JSON type, never coerced: a string is
+# not a list of shares, and 2.9 is not the integer 2.  JSON true and false
+# are not numbers either, although Python's bool is an int.
+
+def _json_int(value, key: str) -> int | None:
+    """An integer config value, or None when the key is absent."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _json_number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config value {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_object(value, key: str) -> dict:
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"config key {key!r} must be an object, got {value!r}")
+    return value
+
+
 def _pick(flag, file_value, default):
     if flag is not None:
         return flag
@@ -175,27 +186,26 @@ def _resolve_config(args: argparse.Namespace, filed: dict) -> RunConfig:
     mode = _enum(_pick(args.mode, filed.get("mode"), _DEF["mode"]), _MODES, "mode")
     fmt = _enum(_pick(args.format, filed.get("format"), _DEF["format"]),
                 _FORMATS, "format")
-    trials = int(_pick(args.trials, filed.get("trials"), _DEF["trials"]))
-    seed = int(_pick(args.seed, filed.get("seed"), _DEF["seed"]))
+    trials = _pick(args.trials, _json_int(filed.get("trials"), "trials"), _DEF["trials"])
+    seed = _pick(args.seed, _json_int(filed.get("seed"), "seed"), _DEF["seed"])
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
 
-    tol_file = filed.get("tolerances") or {}
-    if not isinstance(tol_file, dict):
-        raise ValueError("config key 'tolerances' must be an object")
-    unknown = set(tol_file) - {"equality", "norm", "probability_floor", "success"}
+    tol_file = _json_object(filed.get("tolerances"), "tolerances")
+    unknown = set(tol_file) - {field.name for field in fields(Tolerances)}
     if unknown:
         raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-    tolerances = Tolerances(
-        equality=float(tol_file.get("equality", DEFAULT_TOL.equality)),
-        norm=float(tol_file.get("norm", DEFAULT_TOL.norm)),
-        probability_floor=float(tol_file.get("probability_floor", DEFAULT_TOL.probability_floor)),
-        success=float(tol_file.get("success", DEFAULT_TOL.success)),
-    )
+    tolerances = Tolerances(**{
+        key: _json_number(value, f"tolerances.{key}") for key, value in tol_file.items()
+    })
 
-    target_file = filed.get("target") or {}
-    if not isinstance(target_file, dict):
-        raise ValueError("config key 'target' must be an object")
+    target_file = {
+        key: _json_number(value, f"target.{key}")
+        for key, value in _json_object(filed.get("target"), "target").items()
+    }
+    unknown = set(target_file) - {"a", "b", "phi"}
+    if unknown:
+        raise ValueError(f"unknown target keys: {sorted(unknown)}")
     phi = float(_pick(args.phi, target_file.get("phi"), _DEF["phi"]))
     if args.theta is not None:
         if args.a is not None or args.b is not None:
@@ -211,17 +221,21 @@ def _resolve_config(args: argparse.Namespace, filed: dict) -> RunConfig:
     shares_flag = _parse_shares(args.shares) if args.shares is not None else None
     shares_file = filed.get("shares")
     if shares_file is not None:
-        shares_file = tuple(float(v) for v in shares_file)
+        if not isinstance(shares_file, list):
+            raise ValueError(f"config key 'shares' must be a list, got {shares_file!r}")
+        shares_file = tuple(
+            _json_number(v, f"shares[{i}]") for i, v in enumerate(shares_file)
+        )
     shares = _pick(shares_flag, shares_file, None)
-    n_given = _pick(args.n, filed.get("n"), None)
+    n_given = _pick(args.n, _json_int(filed.get("n"), "n"), None)
     if shares is not None:
         n = len(shares) + 1
-        if n_given is not None and int(n_given) != n:
+        if n_given is not None and n_given != n:
             raise ValueError(
                 f"--n {n_given} is inconsistent with {len(shares)} explicit shares"
             )
     else:
-        n = int(n_given) if n_given is not None else _DEF["n"]
+        n = n_given if n_given is not None else _DEF["n"]
         if n < 2:
             raise ValueError(f"need at least 2 parties, got n={n}")
         shares_mode = _enum(
@@ -233,7 +247,7 @@ def _resolve_config(args: argparse.Namespace, filed: dict) -> RunConfig:
     rule = _pick(args.rule, filed.get("rule"), None)
     if rule is None:
         rule = "table1" if variant == "bich3" else "derived"
-    if rule not in RULES:
+    if not isinstance(rule, str) or rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}, expected one of {sorted(RULES)}")
 
     return RunConfig(
@@ -312,38 +326,29 @@ def _branch_docs(report: ProtocolReport) -> list[dict]:
     ]
 
 
-def _report_doc(config: RunConfig, report: ProtocolReport, errata=()) -> dict:
-    seed: int | None = report.seed
+def _target_doc(t: TargetState) -> dict:
+    return {"a": _jnum(t.a), "b": _jnum(t.b), "phi": _jnum(t.phi)}
+
+
+def _report_doc(config: RunConfig, report: ProtocolReport) -> dict:
     return {
         "variant": report.variant,
         "n": report.n,
-        "target": {
-            "a": _jnum(report.target.a),
-            "b": _jnum(report.target.b),
-            "phi": _jnum(report.target.phi),
-        },
+        "target": _target_doc(report.target),
         "shares": [_jnum(v) for v in report.shares],
         "rule": report.rule,
         "semantics": config.semantics,
         "branches": _branch_docs(report),
         "p_strict": _jnum(report.p_strict),
         "p_fidelity": _jnum(report.p_fidelity),
-        "errata": [_finding_doc(f) for f in errata],
-        "tolerances": {
-            "equality": report.tolerances.equality,
-            "norm": report.tolerances.norm,
-            "probability_floor": report.tolerances.probability_floor,
-            "success": report.tolerances.success,
-        },
-        "seed": seed,
+        "errata": [],
+        "tolerances": asdict(report.tolerances),
+        "seed": report.seed,
     }
 
 
 def _tol_txt(tol: Tolerances) -> str:
-    return (
-        f"equality={_g(tol.equality)} norm={_g(tol.norm)} "
-        f"probability_floor={_g(tol.probability_floor)} success={_g(tol.success)}"
-    )
+    return " ".join(f"{key}={_g(value)}" for key, value in asdict(tol).items())
 
 
 def _render_report_text(config: RunConfig, report: ProtocolReport) -> str:
@@ -494,11 +499,7 @@ def cmd_table(config: RunConfig) -> int:
     if config.format == "json":
         doc = {
             "rule": config.rule,
-            "target": {
-                "a": _jnum(config.target.a),
-                "b": _jnum(config.target.b),
-                "phi": _jnum(config.target.phi),
-            },
+            "target": _target_doc(config.target),
             "shares": [_jnum(v) for v in config.shares],
             "rows": rows,
             "matches": matches,
@@ -633,27 +634,13 @@ def cmd_check_bases(
     return 0 if all_ok else 2
 
 
-def _finding_doc(finding) -> dict:
-    return {
-        "id": finding.id,
-        "location": finding.location,
-        "description": finding.description,
-        "evidence": finding.evidence,
-    }
-
-
 def cmd_errata(seed: int = 0, fmt: str = "text") -> int:
     """Print the findings report on the manuscript's internal inconsistencies."""
     findings = detect_errata(seed)
     if fmt == "json":
         doc = {
-            "errata": [_finding_doc(f) for f in findings],
-            "tolerances": {
-                "equality": DEFAULT_TOL.equality,
-                "norm": DEFAULT_TOL.norm,
-                "probability_floor": DEFAULT_TOL.probability_floor,
-                "success": DEFAULT_TOL.success,
-            },
+            "errata": [asdict(f) for f in findings],
+            "tolerances": asdict(DEFAULT_TOL),
             "seed": seed,
         }
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")

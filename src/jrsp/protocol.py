@@ -1,12 +1,17 @@
-"""End-to-end protocol runs: channel, measurement cascade, recovery, verdicts.
+"""End-to-end protocol runs: measurement cascade, recovery, verdicts.
 
-A run prepares the entangled channel, measures the first sender's qubits in
-her amplitude-encoding basis, walks every helper measurement branch, applies
-the selected recovery rule at the receiver, and grades each branch against
-the target state.  Exact runs enumerate all branches with their exact
-probabilities; sampled runs draw transcripts trial by trial from the same
-law using counter-based per-trial random streams, so a given seed reproduces
-identical counts on any machine.
+An exact run computes every branch of the protocol at once, as columns over
+the transcripts: the first sender's measurement of the A qubits in the
+amplitude-encoding basis, each helper's phase-basis measurement, the
+selected recovery rule at the receiver, and the grade of each branch against
+the target state.  Because every sender-basis row lives on one ket and its
+bitwise complement, the state after the sender measures has two amplitudes
+per outcome, so the dense 2^(2n) channel is never built.  The step-by-step
+dense cascade (:func:`build_channel`, then ``projective_measure`` on the
+sender and on each helper in turn) lives in tests/reference_engine.py,
+where the columns are checked against it bit for bit.  Sampled runs draw
+transcripts from the same law using counter-based per-trial random streams,
+so a given seed reproduces identical counts on any machine.
 
 Register layout: the channel orders qubits A1..An, B1..B(n-1), C.  Qubit Aj
 is entangled with Bj for j < n and An is entangled with the receiver qubit
@@ -42,18 +47,15 @@ from .qcore import (
     as_bits,
     bits_to_index,
     index_to_bits,
-    projective_measure,
+    projective_measure,  # not called: perfbench --trace 1 wraps this binding
 )
 
 __all__ = [
     "VARIANTS",
     "BranchRecord",
     "ProtocolReport",
-    "build_channel",
     "split_phase",
     "generic_shares",
-    "collapse_after_alice",
-    "bob_branches",
     "run_exact",
     "run_sampled",
 ]
@@ -196,6 +198,9 @@ def build_channel(n: int) -> StateVector:
 
     Each pair is (|00> + |11>)/sqrt 2, so the amplitudes are 2^{-n/2} on
     exactly the indices whose A-block bits repeat in the B and C bits.
+    :func:`run_exact` never builds it; the dense reference cascade in
+    tests/reference_engine.py measures it, and perfbench --trace 1 wraps
+    this binding.
     """
     _check_party_count(n)
     amps = np.zeros(1 << (2 * n), dtype=np.complex128)
@@ -275,69 +280,6 @@ def generic_shares(
         if _pi_gap(checks, 0.05):
             return tuple(shares)
     raise RuntimeError("could not draw phase shares in general position")
-
-
-def collapse_after_alice(
-    channel: StateVector,
-    basis: OrthonormalBasis,
-    outcome: int | Sequence[int] | str,
-) -> tuple[float, StateVector | None]:
-    """Measure the leading qubits of the channel in the sender's basis.
-
-    The measured qubits are the first basis.num_qubits labels of the
-    channel, matching the A-first layout of :func:`build_channel`.  Returns
-    the probability of the requested outcome and the residual state over
-    the remaining qubits, or None in place of the state when the outcome
-    has negligible probability.
-    """
-    targets = channel.labels[: basis.num_qubits]
-    if isinstance(outcome, int):
-        index = outcome
-    else:
-        index = bits_to_index(as_bits(outcome, basis.num_qubits))
-    outcomes = projective_measure(channel, targets, basis)
-    if not 0 <= index < len(outcomes):
-        raise ValueError(f"outcome {index} out of range 0..{len(outcomes) - 1}")
-    picked = outcomes[index]
-    return picked.probability, picked.residual_state
-
-
-def bob_branches(
-    L: StateVector,
-    bob_bases: Sequence[OrthonormalBasis],
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[tuple[tuple[int, ...], float, StateVector | None], ...]:
-    """Enumerate every helper measurement branch of a post-sender state.
-
-    L covers the helper qubits followed by the receiver qubit, in that
-    order, and bob_bases supplies one single-qubit basis per helper.  The
-    helpers are measured as a sequence of projective measurements in label
-    order.  Each returned entry is (helper bits, joint conditional
-    probability, receiver state); the state is None when the branch weight
-    falls below the probability floor.
-    """
-    helpers = L.labels[:-1]
-    if len(bob_bases) != len(helpers):
-        raise ValueError(
-            f"state has {len(helpers)} helper qubits but {len(bob_bases)} bases were given"
-        )
-    for basis in bob_bases:
-        if basis.num_qubits != 1:
-            raise ValueError("helper bases must be single-qubit bases")
-    partials: list[tuple[tuple[int, ...], float, StateVector | None]] = [((), 1.0, L)]
-    for label, basis in zip(helpers, bob_bases):
-        extended: list[tuple[tuple[int, ...], float, StateVector | None]] = []
-        for bits, prob, state in partials:
-            if state is None:
-                extended.append((bits + (0,), 0.0, None))
-                extended.append((bits + (1,), 0.0, None))
-                continue
-            for out in projective_measure(state, (label,), basis, tol):
-                extended.append(
-                    (bits + (out.outcome_index,), prob * out.probability, out.residual_state)
-                )
-        partials = extended
-    return tuple(partials)
 
 
 def _resolve_rule(rule: str | RecoveryRule) -> RecoveryRule:
@@ -476,12 +418,13 @@ def run_exact(
 
     The helper cascade is evaluated per sender outcome as one projective
     measurement in the tensor product of the helper bases, which by
-    associativity of the projections equals the helper-by-helper sequence
-    that :func:`bob_branches` performs, branch for branch.  Every stage
-    works on arrays over all sender outcomes or all branches at once; the
-    dense 2^(2n) channel is never built.  The results are bitwise those of
-    measuring the dense channel with :func:`projective_measure` and the full
-    helper Kronecker basis.
+    associativity of the projections equals measuring the helpers one after
+    another, branch for branch.  Every stage works on arrays over all sender
+    outcomes or all branches at once; the dense 2^(2n) channel is never
+    built.  The results are bitwise those of the dense reference cascade in
+    tests/reference_engine.py, which measures the channel of
+    :func:`build_channel` with ``projective_measure`` and the full helper
+    Kronecker basis.
     """
     shares, n, resolved = _check_run_args(variant, t, shares, rule, tol)
     outcomes, helper_dim = 1 << n, 1 << (n - 1)

@@ -15,7 +15,7 @@ validates its input against the budgets in :class:`Tolerances`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -24,19 +24,11 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "StateVector",
-    "TwoByTwoUnitary",
     "RecoveryOp",
-    "ProjectiveOutcome",
     "OrthonormalBasis",
     "as_bits",
     "bits_to_index",
     "index_to_bits",
-    "basis_ket",
-    "tensor",
-    "reorder",
-    "fidelity",
-    "apply_one_qubit",
-    "apply_recovery",
     "projective_measure",
 ]
 
@@ -59,11 +51,12 @@ class Tolerances:
     success: float = 1e-9
 
     def __post_init__(self) -> None:
-        for key in ("equality", "norm", "probability_floor", "success"):
-            value = float(getattr(self, key))
+        for field in fields(self):
+            value = float(getattr(self, field.name))
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(
-                    f"tolerance {key!r} must be finite and nonnegative, got {value!r}"
+                    f"tolerance {field.name!r} must be finite and nonnegative, "
+                    f"got {value!r}"
                 )
 
 
@@ -147,10 +140,6 @@ class StateVector:
     def num_qubits(self) -> int:
         return len(self.labels)
 
-    @property
-    def dim(self) -> int:
-        return int(self.amplitudes.shape[0])
-
     def position(self, label: str) -> int:
         """Index of a label within the register layout."""
         try:
@@ -162,23 +151,6 @@ class StateVector:
 
     def amplitude(self, bits: Sequence[int] | str) -> complex:
         return complex(self.amplitudes[bits_to_index(as_bits(bits, self.num_qubits))])
-
-
-@dataclass(frozen=True, eq=False)
-class TwoByTwoUnitary:
-    """A validated 2x2 unitary, row major."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
-        deviation = float(np.abs(mat.conj().T @ mat - np.eye(2)).max())
-        if deviation > DEFAULT_TOL.equality:
-            raise ValueError(f"matrix is not unitary, deviation {deviation:.3e}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
 
 
 @dataclass(frozen=True)
@@ -265,16 +237,6 @@ class OrthonormalBasis:
     def num_qubits(self) -> int:
         return self.dim.bit_length() - 1
 
-    def vector(self, outcome_index: int) -> np.ndarray:
-        """Amplitudes of one basis vector."""
-        if not 0 <= outcome_index < self.dim:
-            raise ValueError(f"outcome {outcome_index} out of range 0..{self.dim - 1}")
-        return np.array(self.matrix[outcome_index])
-
-    def states(self, labels: Sequence[str]) -> tuple[StateVector, ...]:
-        """The basis vectors as StateVectors over the given labels."""
-        return tuple(StateVector(row, tuple(labels)) for row in self.matrix)
-
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveOutcome:
@@ -287,64 +249,6 @@ class ProjectiveOutcome:
     outcome_index: int
     probability: float
     residual_state: StateVector | None
-
-
-def basis_ket(bits: Sequence[int] | str, labels: Sequence[str]) -> StateVector:
-    """Computational basis ket |bits> over the given labels."""
-    labels = tuple(labels)
-    values = as_bits(bits, len(labels))
-    amps = np.zeros(1 << len(values), dtype=np.complex128)
-    amps[bits_to_index(values)] = 1.0
-    return StateVector(amps, labels)
-
-
-def tensor(left: StateVector, right: StateVector) -> StateVector:
-    """Kronecker product; the left register stays most significant."""
-    shared = set(left.labels) & set(right.labels)
-    if shared:
-        raise ValueError(f"registers share labels {sorted(shared)}")
-    return StateVector(
-        np.kron(left.amplitudes, right.amplitudes), left.labels + right.labels
-    )
-
-
-def reorder(state: StateVector, labels: Sequence[str]) -> StateVector:
-    """Permute the register so its labels appear in the requested order."""
-    wanted = tuple(labels)
-    if sorted(wanted) != sorted(state.labels):
-        raise ValueError(f"cannot reorder {state.labels} into {wanted}")
-    if wanted == state.labels:
-        return state
-    perm = [state.labels.index(lab) for lab in wanted]
-    amps = (
-        state.amplitudes.reshape((2,) * state.num_qubits).transpose(perm).reshape(-1)
-    )
-    return StateVector(amps, wanted)
-
-
-def fidelity(s1: StateVector, s2: StateVector) -> float:
-    """Squared overlap |<s1|s2>|^2; invariant under global phases.
-
-    Registers are compared in their stated order, so callers measuring
-    differently laid-out states should reorder first.
-    """
-    if s1.dim != s2.dim:
-        raise ValueError(f"dimension mismatch: {s1.dim} vs {s2.dim}")
-    return float(abs(np.vdot(s1.amplitudes, s2.amplitudes)) ** 2)
-
-
-def apply_one_qubit(state: StateVector, label: str, u: TwoByTwoUnitary) -> StateVector:
-    """Apply a 2x2 unitary to the named qubit."""
-    pos = state.position(label)
-    n = state.num_qubits
-    tens = np.moveaxis(state.amplitudes.reshape((2,) * n), pos, 0)
-    out = (u.matrix @ tens.reshape(2, -1)).reshape((2,) + (2,) * (n - 1))
-    return StateVector(np.moveaxis(out, 0, pos).reshape(-1), state.labels)
-
-
-def apply_recovery(state: StateVector, label: str, r: RecoveryOp) -> StateVector:
-    """Apply the Pauli word of ``r`` to the named qubit, X first then Z."""
-    return apply_one_qubit(state, label, TwoByTwoUnitary(r.matrix))
 
 
 def projective_measure(

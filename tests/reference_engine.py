@@ -1,12 +1,13 @@
-"""Per-branch references for the exact protocol engine and the Pauli oracle.
+"""Dense references for the exact protocol engine and the Pauli oracle.
 
-This is the original branch-by-branch ``run_exact``: it builds the dense
-2^(2n) channel, measures the sender with ``projective_measure`` on it,
-forms the full helper Kronecker basis per sender outcome, calls the rule
-once per transcript and grades every branch with scalar arithmetic.  It is
-slow and memory hungry, but it follows the textbook measurement cascade
-step by step, so the columnar engine in :mod:`jrsp.protocol` is tested
-against it bit for bit.
+``reference_run_exact`` is the original branch-by-branch ``run_exact``: it
+builds the dense 2^(2n) channel, measures the sender with
+``projective_measure`` on it, forms the full helper Kronecker basis per
+sender outcome, calls the rule once per transcript and grades every branch
+with scalar arithmetic.  ``collapse_after_alice`` and ``bob_branches`` walk
+the same cascade one measurement at a time.  They are slow and memory
+hungry, but they follow the textbook measurement cascade step by step, so
+the columnar engine in :mod:`jrsp.protocol` is tested against them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from jrsp import (
     BranchRecord,
+    OrthonormalBasis,
     RecoveryRule,
     StateVector,
     TargetState,
@@ -26,13 +28,11 @@ from jrsp import (
     bich_alice_basis3,
     bich_basis_selector,
     bich_bob_basis,
-    build_channel,
     improved_alice_basis,
     improved_bob_basis,
-    projective_measure,
 )
-from jrsp.protocol import _PAULI_OPS, ProtocolReport, _check_run_args
-from jrsp.qcore import DEFAULT_TOL, index_to_bits
+from jrsp.protocol import _PAULI_OPS, ProtocolReport, _check_run_args, build_channel
+from jrsp.qcore import DEFAULT_TOL, as_bits, bits_to_index, index_to_bits, projective_measure
 from jrsp.verify import _pauli_overlaps
 
 
@@ -146,3 +146,66 @@ def reference_oracle_branches(report: ProtocolReport):
             phase = complex(ov / abs(ov))
         results[i] = (_PAULI_OPS[idx], fid, phase)
     return tuple(results)
+
+
+def collapse_after_alice(
+    channel: StateVector,
+    basis: OrthonormalBasis,
+    outcome: int | Sequence[int] | str,
+) -> tuple[float, StateVector | None]:
+    """Measure the leading qubits of the channel in the sender's basis.
+
+    The measured qubits are the first basis.num_qubits labels of the
+    channel, matching the A-first layout of :func:`build_channel`.  Returns
+    the probability of the requested outcome and the residual state over
+    the remaining qubits, or None in place of the state when the outcome
+    has negligible probability.
+    """
+    targets = channel.labels[: basis.num_qubits]
+    if isinstance(outcome, int):
+        index = outcome
+    else:
+        index = bits_to_index(as_bits(outcome, basis.num_qubits))
+    outcomes = projective_measure(channel, targets, basis)
+    if not 0 <= index < len(outcomes):
+        raise ValueError(f"outcome {index} out of range 0..{len(outcomes) - 1}")
+    picked = outcomes[index]
+    return picked.probability, picked.residual_state
+
+
+def bob_branches(
+    L: StateVector,
+    bob_bases: Sequence[OrthonormalBasis],
+    tol: Tolerances = DEFAULT_TOL,
+) -> tuple[tuple[tuple[int, ...], float, StateVector | None], ...]:
+    """Enumerate every helper measurement branch of a post-sender state.
+
+    L covers the helper qubits followed by the receiver qubit, in that
+    order, and bob_bases supplies one single-qubit basis per helper.  The
+    helpers are measured as a sequence of projective measurements in label
+    order.  Each returned entry is (helper bits, joint conditional
+    probability, receiver state); the state is None when the branch weight
+    falls below the probability floor.
+    """
+    helpers = L.labels[:-1]
+    if len(bob_bases) != len(helpers):
+        raise ValueError(
+            f"state has {len(helpers)} helper qubits but {len(bob_bases)} bases were given"
+        )
+    for basis in bob_bases:
+        if basis.num_qubits != 1:
+            raise ValueError("helper bases must be single-qubit bases")
+    partials: list[tuple[tuple[int, ...], float, StateVector | None]] = [((), 1.0, L)]
+    for label, basis in zip(helpers, bob_bases):
+        extended: list[tuple[tuple[int, ...], float, StateVector | None]] = []
+        for bits, prob, state in partials:
+            if state is None:
+                extended.append((bits + (0,), 0.0, None))
+                extended.append((bits + (1,), 0.0, None))
+                continue
+            for out in projective_measure(state, (label,), basis, tol):
+                extended.append(
+                    (bits + (out.outcome_index,), prob * out.probability, out.residual_state)
+                )
+        partials = extended
+    return tuple(partials)

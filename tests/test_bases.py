@@ -11,13 +11,9 @@ from jrsp import (
     bich_alice_basis3,
     bich_basis_selector,
     bich_bob_basis,
-    bich_recovery_table,
-    derived_recovery,
     improved_alice_basis,
     improved_bob_basis,
-    paper_step3_recovery,
     printed_improved_matrix3,
-    table2_recovery,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -190,19 +186,19 @@ class TestBichRecoveryTable:
         ],
     )
     def test_selected_entries(self, klm, n, s, label):
-        assert bich_recovery_table(klm, n, s).label == label
+        assert RULES["table1"](klm, (n, s)).label == label
 
     def test_partition_covers_all_branches_evenly(self):
         from collections import Counter
         counts = Counter(
-            bich_recovery_table(f"{klm:03b}", n, s).label
+            RULES["table1"](f"{klm:03b}", (n, s)).label
             for klm in range(8) for n in (0, 1) for s in (0, 1)
         )
         assert counts == {"I": 8, "X": 8, "Z": 8, "ZX": 8}
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
-            bich_recovery_table("000", 2, 0)
+            RULES["table1"]("000", (2, 0))
 
 
 class TestRecoveryRules:
@@ -215,7 +211,7 @@ class TestRecoveryRules:
         ],
     )
     def test_derived_rule(self, l, m, label):
-        assert derived_recovery(l, m).label == label
+        assert RULES["derived"](l, m).label == label
 
     @pytest.mark.parametrize(
         "l, m, label",
@@ -225,7 +221,7 @@ class TestRecoveryRules:
         ],
     )
     def test_paper_step3_rule(self, l, m, label):
-        assert paper_step3_recovery(l, m).label == label
+        assert RULES["paper-step3"](l, m).label == label
 
     @pytest.mark.parametrize(
         "l, m, label",
@@ -235,21 +231,21 @@ class TestRecoveryRules:
         ],
     )
     def test_table2_rule(self, l, m, label):
-        assert table2_recovery(l, m).label == label
+        assert RULES["table2"](l, m).label == label
 
     def test_table2_rule_is_three_party_only(self):
         with pytest.raises(ValueError):
-            table2_recovery("0000", "000")
+            RULES["table2"]("0000", "000")
 
     def test_rules_validate_bit_counts(self):
         with pytest.raises(ValueError):
-            derived_recovery("000", "000")
+            RULES["derived"]("000", "000")
 
     def test_derived_and_table2_agree_exactly_on_leading_zero(self):
         for l in range(8):
             for m in range(4):
                 l_txt, m_txt = f"{l:03b}", f"{m:02b}"
-                same = derived_recovery(l_txt, m_txt) == table2_recovery(l_txt, m_txt)
+                same = RULES["derived"](l_txt, m_txt) == RULES["table2"](l_txt, m_txt)
                 assert same == (l < 4), (l_txt, m_txt)
 
 
@@ -275,4 +271,4 @@ class TestRuleRegistry:
         rule = RULES["table1"]
         assert rule("000", "00").label == "I"
         assert rule("010", "01").label == "ZX"
-        assert rule("011", "01") == bich_recovery_table("011", 0, 1)
+        assert rule("011", "01").label == "I"

@@ -198,7 +198,7 @@ class TestConfigFile:
         assert json.loads(out)["tolerances"]["success"] == 1e-6
 
     @pytest.mark.parametrize("key", ["equality", "norm", "probability_floor", "success"])
-    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-1"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-1", '"1e-6"', "true", "null"])
     def test_non_finite_or_negative_tolerances_exit_one(self, capsys, tmp_path, key, bad):
         cfg = tmp_path / "run.json"
         cfg.write_text(f'{{"tolerances": {{"{key}": {bad}}}}}')
@@ -208,6 +208,38 @@ class TestConfigFile:
         assert code == 1
         assert out == ""
         assert key in err
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"shares": "12", "target": {"phi": 3.0}}, "shares"),
+            ({"shares": [0.5, "0.6"]}, "shares[1]"),
+            ({"shares": [0.5, True]}, "shares[1]"),
+            ({"n": 2.9}, "n"),
+            ({"n": "3"}, "n"),
+            ({"trials": 2.5}, "trials"),
+            ({"seed": 1.7}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"tolerances": []}, "tolerances"),
+            ({"target": []}, "target"),
+            ({"target": {"a": "0.6", "b": 0.8}}, "target.a"),
+            ({"target": {"a": 0.6, "bb": 0.8}}, "bb"),
+        ],
+    )
+    def test_wrongly_typed_values_exit_one(self, capsys, tmp_path, doc, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        dump = tmp_path / "dump.json"
+        for mode in ("exact", "sample"):
+            code, out, err = run_cli(
+                capsys,
+                ["simulate", "--config", str(cfg), "--mode", mode, "--trials", "10",
+                 "--dump-config", str(dump)],
+            )
+            assert code == 1
+            assert out == ""
+            assert f"'{key}'" in err
+        assert not dump.exists()
 
     def test_unknown_keys_are_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

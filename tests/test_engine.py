@@ -13,13 +13,9 @@ from jrsp import (
     RecoveryOp,
     TargetState,
     Tolerances,
-    bich_recovery_table,
-    derived_recovery,
     generic_shares,
     oracle_branches,
-    paper_step3_recovery,
     run_exact,
-    table2_recovery,
 )
 from jrsp.bases import _BICH_TABLE1
 from jrsp.qcore import index_to_bits
@@ -143,14 +139,6 @@ def _textbook(rule, l_bits, m_bits):
     return op.x_exp, op.z_exp
 
 
-PER_BRANCH = {
-    "derived": derived_recovery,
-    "paper-step3": paper_step3_recovery,
-    "table2": table2_recovery,
-    "table1": lambda l, m: bich_recovery_table(l, *m),
-}
-
-
 @pytest.mark.parametrize("rule", sorted(RULES))
 def test_rule_arrays_match_per_branch_functions(rule):
     spec = RULES[rule]
@@ -159,7 +147,6 @@ def test_rule_arrays_match_per_branch_functions(rule):
         codes = spec.codes(l_idx, m_idx, n)
         for l, m, code in zip(l_idx.tolist(), m_idx.tolist(), codes.tolist()):
             l_bits, m_bits = index_to_bits(l, n), index_to_bits(m, n - 1)
-            op = PER_BRANCH[rule](l_bits, m_bits)
+            op = spec(l_bits, m_bits)
             assert op.code == code
-            assert spec(l_bits, m_bits) == op
             assert (op.x_exp, op.z_exp) == _textbook(rule, l_bits, m_bits)
