@@ -1,15 +1,25 @@
 """Command-line front end.
 
-Five commands: simulate (run a protocol and print the branch report), table
-(regenerate the three-party recovery listing with an oracle column),
-check-bases (basis health checks over random targets), errata (the findings
-report), and compare-rules (side-by-side rule adjudication).
+Five commands, each taking only the options it uses:
 
-Configuration comes from flags, optionally merged over a JSON config file
-given with --config; flags win.  --dump-config writes back the fully
-resolved configuration, which reproduces the run byte for byte.  Exit codes
-are 0 for success, 1 for configuration or usage errors, and 2 when an
-assertion or verification check fails.
+- simulate: run a protocol and print the branch report.  Target options
+  plus --variant --rule --semantics --mode --trials --assert-p --assert-tol
+  --dump-config.
+- table: the three-party recovery listing with an oracle column.  Target
+  options plus --rule.
+- compare-rules: side-by-side rule adjudication.  Target options plus
+  --rules.
+- check-bases: basis health checks over random targets.  --n-min --n-max
+  --samples --seed --fixture --format.
+- errata: the findings report.  --seed --format.
+
+The target options are --config --n --a --b --theta --phi --shares
+--shares-mode --seed --format.  Flags are merged over a JSON config file
+given with --config; flags win, and a config key the command does not use
+is rejected.  --dump-config writes back the fully resolved configuration,
+which reproduces the run byte for byte.  Exit codes are 0 for success, 1
+for configuration or usage errors, and 2 when an assertion or verification
+check fails.
 """
 
 from __future__ import annotations
@@ -23,10 +33,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bases import RULES, TargetState, bich_alice_basis3, bich_bob_basis, improved_alice_basis, improved_bob_basis, printed_improved_matrix3
+from .bases import RULES, TargetState
 from .protocol import VARIANTS, ProtocolReport, run_exact, run_sampled, split_phase
 from .qcore import DEFAULT_TOL, RecoveryOp, Tolerances
-from .verify import SEMANTICS, compare_rules, detect_errata, oracle_branches, success_probability
+from .verify import SEMANTICS, check_bases, compare_rules, detect_errata, oracle_branches, success_probability
 
 __all__ = ["main"]
 
@@ -47,18 +57,22 @@ _DEF = {
     "trials": 100000,
     "seed": 0,
     "format": "text",
-    "assert_tol": 1e-9,
 }
 
-_CONFIG_KEYS = {
-    "variant", "n", "target", "shares", "shares_mode", "rule",
-    "semantics", "mode", "trials", "seed", "tolerances", "format",
-}
+# Config keys each command accepts; compare_rules runs at DEFAULT_TOL, so
+# compare-rules takes no tolerances.
+_TARGET_KEYS = frozenset({"n", "target", "shares", "shares_mode", "seed", "format"})
+_TABLE_KEYS = _TARGET_KEYS | {"rule", "tolerances"}
+_SIMULATE_KEYS = _TABLE_KEYS | {"variant", "semantics", "mode", "trials"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration; every field is concrete."""
+    """Fully resolved run configuration; every field is concrete.
+
+    dataclasses.asdict(config) is its canonical JSON form: reloading it
+    reproduces this config exactly.
+    """
 
     variant: str
     n: int
@@ -71,22 +85,6 @@ class RunConfig:
     seed: int
     tolerances: Tolerances
     format: str
-
-    def canonical(self) -> dict:
-        """Canonical JSON form; reloading it reproduces this config exactly."""
-        return {
-            "variant": self.variant,
-            "n": self.n,
-            "target": {"a": self.target.a, "b": self.target.b, "phi": self.target.phi},
-            "shares": list(self.shares),
-            "rule": self.rule,
-            "semantics": self.semantics,
-            "mode": self.mode,
-            "trials": self.trials,
-            "seed": self.seed,
-            "tolerances": asdict(self.tolerances),
-            "format": self.format,
-        }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,8 +105,12 @@ def _jnum(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _bits(bits: Sequence[int]) -> str:
-    return "".join(str(v) for v in bits)
+def _write(lines: Sequence[str]) -> None:
+    sys.stdout.write("\n".join(lines) + "\n")
+
+
+def _write_json(doc: dict) -> None:
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _load_config(path: str | None) -> dict:
@@ -122,9 +124,6 @@ def _load_config(path: str | None) -> dict:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return raw
 
 
@@ -177,16 +176,29 @@ def _parse_shares(text: str) -> tuple[float, ...]:
     return values
 
 
-def _resolve_config(args: argparse.Namespace, filed: dict) -> RunConfig:
-    """Merge flags over file values over defaults into a concrete RunConfig."""
-    variant = _enum(_pick(args.variant, filed.get("variant"), _DEF["variant"]),
+def _resolve_config(args: argparse.Namespace, keys: frozenset[str]) -> RunConfig:
+    """Merge flags over the --config file over defaults into a RunConfig.
+
+    keys are the config keys the command accepts.  A run option the command
+    does not take is absent from both args and the file, so it resolves to
+    its default.
+    """
+    filed = _load_config(args.config)
+    unknown = set(filed) - keys
+    if unknown:
+        raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+    flags = vars(args)
+    variant = _enum(_pick(flags.get("variant"), filed.get("variant"), _DEF["variant"]),
                     VARIANTS, "variant")
-    semantics = _enum(_pick(args.semantics, filed.get("semantics"), _DEF["semantics"]),
-                      SEMANTICS, "semantics")
-    mode = _enum(_pick(args.mode, filed.get("mode"), _DEF["mode"]), _MODES, "mode")
+    semantics = _enum(
+        _pick(flags.get("semantics"), filed.get("semantics"), _DEF["semantics"]),
+        SEMANTICS, "semantics",
+    )
+    mode = _enum(_pick(flags.get("mode"), filed.get("mode"), _DEF["mode"]), _MODES, "mode")
     fmt = _enum(_pick(args.format, filed.get("format"), _DEF["format"]),
                 _FORMATS, "format")
-    trials = _pick(args.trials, _json_int(filed.get("trials"), "trials"), _DEF["trials"])
+    trials = _pick(flags.get("trials"), _json_int(filed.get("trials"), "trials"),
+                   _DEF["trials"])
     seed = _pick(args.seed, _json_int(filed.get("seed"), "seed"), _DEF["seed"])
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
@@ -244,7 +256,7 @@ def _resolve_config(args: argparse.Namespace, filed: dict) -> RunConfig:
         )
         shares = split_phase(target.phi, n - 1, shares_mode, np.random.default_rng(seed))
 
-    rule = _pick(args.rule, filed.get("rule"), None)
+    rule = _pick(flags.get("rule"), filed.get("rule"), None)
     if rule is None:
         rule = "table1" if variant == "bich3" else "derived"
     if not isinstance(rule, str) or rule not in RULES:
@@ -419,17 +431,13 @@ def _render_report_csv(config: RunConfig, report: ProtocolReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(
-    config: RunConfig,
-    assert_p: float | None = None,
-    assert_tol: float = 1e-9,
-    dump_config: str | None = None,
-) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     """Run one protocol configuration and print its branch report.
 
     Returns 0 normally and 2 when an --assert-p check fails; configuration
     problems raise ValueError before anything is printed.
     """
+    config = _resolve_config(args, _SIMULATE_KEYS)
     if config.mode == "sample":
         report = run_sampled(
             config.variant, config.target, config.shares, config.rule,
@@ -441,71 +449,68 @@ def cmd_simulate(
             config.tolerances,
         )
         report = replace(report, seed=config.seed)
-    if dump_config is not None:
-        Path(dump_config).write_text(
-            json.dumps(config.canonical(), indent=2) + "\n"
-        )
+    if args.dump_config is not None:
+        Path(args.dump_config).write_text(json.dumps(asdict(config), indent=2) + "\n")
     if config.format == "json":
-        sys.stdout.write(json.dumps(_report_doc(config, report), indent=2) + "\n")
+        _write_json(_report_doc(config, report))
     elif config.format == "csv":
         sys.stdout.write(_render_report_csv(config, report))
     else:
         sys.stdout.write(_render_report_text(config, report))
-    if assert_p is not None:
+    if args.assert_p is not None:
         p = success_probability(report, config.semantics)
-        if abs(p - assert_p) > assert_tol:
+        if abs(p - args.assert_p) > args.assert_tol:
             sys.stderr.write(
                 f"assertion failed: p[{config.semantics}] = {_g(p)} is not "
-                f"within {_g(assert_tol)} of {_g(assert_p)}\n"
+                f"within {_g(args.assert_tol)} of {_g(args.assert_p)}\n"
             )
             return 2
     return 0
 
 
-def _collapsed_expression(l_bits: Sequence[int], m_bits: Sequence[int]) -> str:
+def _collapsed_expression(l: str, m: str) -> str:
     """Symbolic receiver state before recovery, from the derived closed form."""
-    sign = (l_bits[0] + sum(m_bits)) % 2
-    keep = l_bits[-1]
+    sign = (int(l[0]) + m.count("1")) % 2
+    keep = int(l[-1])
     joiner = "-" if sign else "+"
     return f"a|{keep}> {joiner} b e^(i phi)|{1 - keep}>"
 
 
-def cmd_table(config: RunConfig) -> int:
+def cmd_table(args: argparse.Namespace) -> int:
     """Print the three-party recovery listing with an oracle column.
 
     Every row shows the collapsed receiver state, the configured rule's
     operator, the oracle's operator, and whether they agree.
     """
+    config = _resolve_config(args, _TABLE_KEYS)
     if config.n != 3:
         raise ValueError(f"the table listing covers n=3, got n={config.n}")
     report = run_exact(
         "improved", config.target, config.shares, config.rule, config.tolerances
     )
-    oracle = oracle_branches(report)
     rows = []
-    for pos, br in enumerate(report.branches):
-        best = oracle[pos]
+    for pos, (code, best) in enumerate(zip(report.ops.tolist(), oracle_branches(report))):
+        l, m = format(pos >> 2, "03b"), format(pos & 3, "02b")
+        rule_label = RecoveryOp.from_code(code).label
         oracle_label = "-" if best is None else best[0].label
-        match = best is not None and br.recovery.label == oracle_label
         rows.append({
-            "l": _bits(br.alice_bits),
-            "m": _bits(br.bob_bits),
-            "collapsed": _collapsed_expression(br.alice_bits, br.bob_bits),
-            "rule_op": br.recovery.label,
+            "l": l,
+            "m": m,
+            "collapsed": _collapsed_expression(l, m),
+            "rule_op": rule_label,
             "oracle_op": oracle_label,
-            "match": match,
+            "match": best is not None and rule_label == oracle_label,
         })
     matches = sum(1 for row in rows if row["match"])
     if config.format == "json":
-        doc = {
+        _write_json({
             "rule": config.rule,
             "target": _target_doc(config.target),
             "shares": [_jnum(v) for v in config.shares],
             "rows": rows,
             "matches": matches,
             "mismatches": len(rows) - matches,
-        }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        })
     elif config.format == "csv":
         lines = [f"# rule={config.rule}", "l,m,collapsed,rule_op,oracle_op,match"]
         for row in rows:
@@ -514,7 +519,7 @@ def cmd_table(config: RunConfig) -> int:
                 f"{row['oracle_op']},{'match' if row['match'] else 'MISMATCH'}"
             )
         lines.append(f"# matches={matches}/{len(rows)}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        _write(lines)
     else:
         lines = [
             f"rule: {config.rule}",
@@ -531,143 +536,81 @@ def cmd_table(config: RunConfig) -> int:
                 f"{row['rule_op']:<5} {row['oracle_op']:<7} {verdict}"
             )
         lines += ["", f"matches: {matches}/{len(rows)}"]
-        sys.stdout.write("\n".join(lines) + "\n")
+        _write(lines)
     return 0
 
 
-def _check_rows(n_min: int, n_max: int, samples: int, seed: int, fixtures: Sequence[str]):
-    """(name, deviation, ok) rows for every basis health check."""
-    if n_min < 2 or n_max < n_min:
-        raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    rng = np.random.default_rng(seed)
-    thetas = rng.uniform(0.0, np.pi / 2.0, size=samples)
-    targets = [TargetState(np.cos(x), np.sin(x)) for x in thetas]
-    targets += [TargetState(1.0, 0.0), TargetState(0.0, 1.0)]
-    phis = rng.uniform(0.0, 2.0 * np.pi, size=samples)
-    rows: list[tuple[str, float, bool]] = []
-
-    def gram(mat: np.ndarray) -> float:
-        return float(np.abs(mat @ mat.conj().T - np.eye(len(mat))).max())
-
-    def completeness(mat: np.ndarray) -> float:
-        return float(np.abs(mat.T @ mat.conj() - np.eye(len(mat))).max())
-
-    budget = DEFAULT_TOL.equality
-    for n in range(n_min, n_max + 1):
-        dev = 0.0
-        for t in targets:
-            mat = improved_alice_basis(t, n).matrix
-            dev = max(dev, gram(mat), completeness(mat))
-        rows.append((f"improved-alice-n{n}", dev, dev <= budget))
-    dev = 0.0
-    for t in targets:
-        mat = bich_alice_basis3(t).matrix
-        dev = max(dev, gram(mat), completeness(mat))
-    rows.append(("bich3-alice", dev, dev <= budget))
-    unitary_dev = 0.0
-    involution_dev = 0.0
-    for phi in phis:
-        for r in (0, 1):
-            mat = bich_bob_basis(r, phi).matrix
-            unitary_dev = max(unitary_dev, gram(mat))
-            involution_dev = max(
-                involution_dev, float(np.abs(mat @ mat - np.eye(2)).max())
-            )
-    rows.append(("bich3-bob-unitary", unitary_dev, unitary_dev <= budget))
-    rows.append(("bich3-bob-self-inverse", involution_dev, involution_dev <= budget))
-    dev = 0.0
-    for phi in phis:
-        for l_j in (0, 1):
-            dev = max(dev, gram(improved_bob_basis(l_j, phi).matrix))
-    rows.append(("improved-bob-unitary", dev, dev <= budget))
-    for fixture in fixtures:
-        if fixture != "eq25-as-printed":
-            raise ValueError(f"unknown fixture {fixture!r}")
-        dev = 0.0
-        for t in targets:
-            printed = printed_improved_matrix3(t)
-            norms = np.linalg.norm(printed, axis=1)
-            dev = max(dev, float(np.abs(norms - 1.0).max()), gram(printed))
-        rows.append((f"fixture-{fixture}", dev, dev <= budget))
-    return rows
-
-
-def cmd_check_bases(
-    n_min: int = 2,
-    n_max: int = 6,
-    samples: int = 100,
-    seed: int = 0,
-    fixtures: Sequence[str] = (),
-    fmt: str = "text",
-) -> int:
+def cmd_check_bases(args: argparse.Namespace) -> int:
     """Run the basis health checks and print a pass/fail summary.
 
     Returns 0 when every checked construction passes and 2 otherwise, so a
     requested known-bad fixture turns the exit code red on purpose.
     """
-    rows = _check_rows(n_min, n_max, samples, seed, fixtures)
+    rows = check_bases(args.n_min, args.n_max, args.samples, args.seed, args.fixture)
     all_ok = all(ok for _, _, ok in rows)
-    if fmt == "json":
-        doc = {
+    if args.format == "json":
+        _write_json({
             "checks": [
                 {"name": name, "max_deviation": _jnum(dev), "pass": ok}
                 for name, dev, ok in rows
             ],
             "pass": all_ok,
-            "seed": seed,
-            "samples": samples,
-        }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-    elif fmt == "csv":
+            "seed": args.seed,
+            "samples": args.samples,
+        })
+    elif args.format == "csv":
         lines = ["name,max_deviation,pass"]
         lines += [f"{name},{_g(dev)},{str(ok).lower()}" for name, dev, ok in rows]
-        sys.stdout.write("\n".join(lines) + "\n")
+        _write(lines)
     else:
         lines = [
             f"{'PASS' if ok else 'FAIL'}  {name:<24} max deviation {_g(dev)}"
             for name, dev, ok in rows
         ]
         lines.append(f"result: {'all checks passed' if all_ok else 'FAILURES present'}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        _write(lines)
     return 0 if all_ok else 2
 
 
-def cmd_errata(seed: int = 0, fmt: str = "text") -> int:
+def cmd_errata(args: argparse.Namespace) -> int:
     """Print the findings report on the manuscript's internal inconsistencies."""
-    findings = detect_errata(seed)
-    if fmt == "json":
-        doc = {
+    if args.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {args.seed}")
+    findings = detect_errata(args.seed)
+    if args.format == "json":
+        _write_json({
             "errata": [asdict(f) for f in findings],
             "tolerances": asdict(DEFAULT_TOL),
-            "seed": seed,
-        }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-    elif fmt == "csv":
+            "seed": args.seed,
+        })
+    elif args.format == "csv":
         lines = ["id,location,description,evidence"]
         for f in findings:
             desc = f.description.replace('"', "'")
             ev = json.dumps(f.evidence).replace('"', "'")
             lines.append(f'{f.id},"{f.location}","{desc}","{ev}"')
-        sys.stdout.write("\n".join(lines) + "\n")
+        _write(lines)
     else:
-        blocks = []
+        lines = []
         for f in findings:
-            blocks.append(
-                f"finding {f.id} [{f.location}]\n"
-                f"  {f.description}\n"
-                f"  evidence: {json.dumps(f.evidence)}"
-            )
-        sys.stdout.write("\n\n".join(blocks) + "\n")
+            lines += [
+                "",
+                f"finding {f.id} [{f.location}]",
+                f"  {f.description}",
+                f"  evidence: {json.dumps(f.evidence)}",
+            ]
+        _write(lines[1:])
     return 0
 
 
-def cmd_compare_rules(config: RunConfig, rules: Sequence[str]) -> int:
+def cmd_compare_rules(args: argparse.Namespace) -> int:
     """Adjudicate several recovery rules on identical branches and print it."""
+    config = _resolve_config(args, _TARGET_KEYS)
+    rules = [part.strip() for part in args.rules.split(",") if part.strip()]
     comparison = compare_rules(config.target, config.shares, config.n, rules)
+    names = list(dict.fromkeys(comparison.rules))
     if config.format == "json":
-        doc = {
+        _write_json({
             "rules": list(comparison.rules),
             "p_strict": {k: _jnum(v) for k, v in comparison.p_strict.items()},
             "p_fidelity": {k: _jnum(v) for k, v in comparison.p_fidelity.items()},
@@ -675,10 +618,8 @@ def cmd_compare_rules(config: RunConfig, rules: Sequence[str]) -> int:
                 {"l": l, "m": m, "ops": ops}
                 for l, m, ops in comparison.disagreements
             ],
-        }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        })
     elif config.format == "csv":
-        names = list(dict.fromkeys(comparison.rules))
         lines = ["rule,p_strict,p_fidelity"]
         for name in names:
             lines.append(
@@ -688,9 +629,8 @@ def cmd_compare_rules(config: RunConfig, rules: Sequence[str]) -> int:
         lines.append("l,m," + ",".join(names))
         for l, m, ops in comparison.disagreements:
             lines.append(f"{l},{m}," + ",".join(ops[name] for name in names))
-        sys.stdout.write("\n".join(lines) + "\n")
+        _write(lines)
     else:
-        names = list(dict.fromkeys(comparison.rules))
         lines = [f"{'rule':<14} {'p_strict':<12} p_fidelity"]
         for name in names:
             lines.append(
@@ -702,32 +642,26 @@ def cmd_compare_rules(config: RunConfig, rules: Sequence[str]) -> int:
         for l, m, ops in comparison.disagreements:
             ops_txt = " ".join(f"{name}={ops[name]}" for name in names)
             lines.append(f"  l={l} m={m}  {ops_txt}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        _write(lines)
     return 0
 
 
-def _run_flag_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--variant", choices=VARIANTS)
-    common.add_argument("--n", type=int, help="party count (helpers plus one)")
-    common.add_argument("--a", type=float, help="target amplitude of |0>")
-    common.add_argument("--b", type=float, help="target amplitude of |1>")
-    common.add_argument("--theta", type=float,
+def _target_flags() -> argparse.ArgumentParser:
+    """Parent parser of the options that pick a target and an output format."""
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("--config", help="JSON config file; flags override its values")
+    target.add_argument("--n", type=int, help="party count (helpers plus one)")
+    target.add_argument("--a", type=float, help="target amplitude of |0>")
+    target.add_argument("--b", type=float, help="target amplitude of |1>")
+    target.add_argument("--theta", type=float,
                         help="angle form: a=cos(theta), b=sin(theta)")
-    common.add_argument("--phi", type=float, help="target relative phase, radians")
-    common.add_argument("--shares", help="explicit phase shares, comma separated")
-    common.add_argument("--shares-mode", choices=_SHARE_MODES, dest="shares_mode",
+    target.add_argument("--phi", type=float, help="target relative phase, radians")
+    target.add_argument("--shares", help="explicit phase shares, comma separated")
+    target.add_argument("--shares-mode", choices=_SHARE_MODES, dest="shares_mode",
                         help="how to split phi when --shares is absent")
-    common.add_argument("--rule", choices=tuple(RULES),
-                        help="recovery rule; defaults to the variant's own rule")
-    common.add_argument("--semantics", choices=SEMANTICS,
-                        help="success notion for the headline number")
-    common.add_argument("--mode", choices=_MODES, help="exact enumeration or sampling")
-    common.add_argument("--trials", type=int, help="sample count for --mode sample")
-    common.add_argument("--seed", type=int, help="seed for sampling and random shares")
-    common.add_argument("--format", choices=_FORMATS, help="output format")
-    return common
+    target.add_argument("--seed", type=int, help="seed for sampling and random shares")
+    target.add_argument("--format", choices=_FORMATS, help="output format")
+    return target
 
 
 def build_parser() -> _Parser:
@@ -739,26 +673,36 @@ def build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _run_flag_parser()
+    target = _target_flags()
+    rule_help = "recovery rule; defaults to the variant's own rule"
 
-    sim = sub.add_parser("simulate", parents=[common],
+    sim = sub.add_parser("simulate", parents=[target],
                          help="run a protocol and print the branch report")
+    sim.add_argument("--variant", choices=VARIANTS)
+    sim.add_argument("--rule", choices=tuple(RULES), help=rule_help)
+    sim.add_argument("--semantics", choices=SEMANTICS,
+                     help="success notion for the headline number")
+    sim.add_argument("--mode", choices=_MODES, help="exact enumeration or sampling")
+    sim.add_argument("--trials", type=int, help="sample count for --mode sample")
     sim.add_argument("--assert-p", type=float, dest="assert_p",
                      help="exit 2 unless the headline probability matches")
-    sim.add_argument("--assert-tol", type=float, dest="assert_tol",
+    sim.add_argument("--assert-tol", type=float, default=1e-9, dest="assert_tol",
                      help="tolerance for --assert-p (default 1e-9)")
     sim.add_argument("--dump-config", dest="dump_config",
                      help="write the resolved config to this path")
-    sim.set_defaults(func=_main_simulate)
+    sim.set_defaults(func=cmd_simulate)
 
-    tab = sub.add_parser("table", parents=[common],
+    tab = sub.add_parser("table", parents=[target],
                          help="recovery listing with an oracle column (n=3)")
-    tab.set_defaults(func=_main_table)
+    tab.add_argument("--rule", choices=tuple(RULES), help=rule_help)
+    tab.set_defaults(func=cmd_table)
 
-    cmp_parser = sub.add_parser("compare-rules", parents=[common],
+    # Exact option names only, so --rule is refused rather than read as --rules.
+    cmp_parser = sub.add_parser("compare-rules", parents=[target], allow_abbrev=False,
                                 help="diff recovery rules on identical branches")
-    cmp_parser.add_argument("--rules", help="comma separated rule names")
-    cmp_parser.set_defaults(func=_main_compare_rules)
+    cmp_parser.add_argument("--rules", default="derived,paper-step3,table2",
+                            help="comma separated rule names")
+    cmp_parser.set_defaults(func=cmd_compare_rules)
 
     chk = sub.add_parser("check-bases", help="basis health checks")
     chk.add_argument("--n-min", type=int, default=2, dest="n_min")
@@ -768,52 +712,14 @@ def build_parser() -> _Parser:
     chk.add_argument("--fixture", action="append", choices=_FIXTURES, default=[],
                      help="also check a known-bad printed construction")
     chk.add_argument("--format", choices=_FORMATS, default="text")
-    chk.set_defaults(func=_main_check_bases)
+    chk.set_defaults(func=cmd_check_bases)
 
     err = sub.add_parser("errata", help="findings on the manuscript under audit")
     err.add_argument("--seed", type=int, default=0)
     err.add_argument("--format", choices=_FORMATS, default="text")
-    err.set_defaults(func=_main_errata)
+    err.set_defaults(func=cmd_errata)
 
     return parser
-
-
-def _main_simulate(args: argparse.Namespace) -> int:
-    config = _resolve_config(args, _load_config(args.config))
-    assert_tol = args.assert_tol if args.assert_tol is not None else _DEF["assert_tol"]
-    return cmd_simulate(config, args.assert_p, assert_tol, args.dump_config)
-
-
-def _main_table(args: argparse.Namespace) -> int:
-    if args.variant not in (None, "improved"):
-        raise ValueError("the table listing covers the improved scheme only")
-    args.variant = "improved"
-    config = _resolve_config(args, _load_config(args.config))
-    return cmd_table(config)
-
-
-def _main_compare_rules(args: argparse.Namespace) -> int:
-    if args.variant not in (None, "improved"):
-        raise ValueError("rule comparison covers the improved scheme only")
-    args.variant = "improved"
-    config = _resolve_config(args, _load_config(args.config))
-    rules_text = args.rules if args.rules else "derived,paper-step3,table2"
-    rules = [part.strip() for part in rules_text.split(",") if part.strip()]
-    if not rules:
-        raise ValueError("no rules given")
-    return cmd_compare_rules(config, rules)
-
-
-def _main_check_bases(args: argparse.Namespace) -> int:
-    return cmd_check_bases(
-        args.n_min, args.n_max, args.samples, args.seed, args.fixture, args.format
-    )
-
-
-def _main_errata(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {args.seed}")
-    return cmd_errata(args.seed, args.format)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -1,5 +1,5 @@
 """Adjudication layer: headline numbers, oracle search, rule comparison,
-and the errata report on the manuscript under audit.
+basis health checks, and the errata report on the manuscript under audit.
 
 The oracle here is deliberately independent of every recovery rule: it
 exhaustively tries the four Pauli words on each pre-recovery receiver state
@@ -18,10 +18,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .bases import RecoveryRule, TargetState, printed_improved_matrix3
+from .bases import (
+    RecoveryRule,
+    TargetState,
+    bich_alice_basis3,
+    bich_bob_basis,
+    improved_alice_basis,
+    improved_bob_basis,
+    printed_improved_matrix3,
+)
 from .protocol import (
     _PAULI_OPS,
     ProtocolReport,
+    _check_party_count,
     _unit_phases,
     generic_shares,
     run_exact,
@@ -36,6 +45,7 @@ __all__ = [
     "best_pauli",
     "oracle_branches",
     "compare_rules",
+    "check_bases",
     "detect_errata",
 ]
 
@@ -367,6 +377,76 @@ def _finding_unrecoverable(seed: int) -> ErratumFinding:
             "example_residual_phase": _phase_json(example_phase),
         },
     )
+
+
+def check_bases(
+    n_min: int, n_max: int, samples: int, seed: int, fixtures: Sequence[str]
+) -> list[tuple[str, float, bool]]:
+    """(name, max deviation, ok) rows for every basis health check.
+
+    Sender bases (improved for each n in n_min..n_max, bich3) must be
+    orthonormal and complete, helper bases unitary (bich3's also
+    self-inverse), over samples random targets and phases plus the poles.
+    Each fixture adds a known-bad printed construction.  Both party counts
+    must lie in the 2..12 range run_exact supports.
+    """
+    _check_party_count(n_min)
+    _check_party_count(n_max)
+    if n_max < n_min:
+        raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(0.0, np.pi / 2.0, size=samples)
+    targets = [TargetState(np.cos(x), np.sin(x)) for x in thetas]
+    targets += [TargetState(1.0, 0.0), TargetState(0.0, 1.0)]
+    phis = rng.uniform(0.0, 2.0 * np.pi, size=samples)
+    rows: list[tuple[str, float, bool]] = []
+
+    def gram(mat: np.ndarray) -> float:
+        return float(np.abs(mat @ mat.conj().T - np.eye(len(mat))).max())
+
+    def completeness(mat: np.ndarray) -> float:
+        return float(np.abs(mat.T @ mat.conj() - np.eye(len(mat))).max())
+
+    budget = DEFAULT_TOL.equality
+    for n in range(n_min, n_max + 1):
+        dev = 0.0
+        for t in targets:
+            mat = improved_alice_basis(t, n).matrix
+            dev = max(dev, gram(mat), completeness(mat))
+        rows.append((f"improved-alice-n{n}", dev, dev <= budget))
+    dev = 0.0
+    for t in targets:
+        mat = bich_alice_basis3(t).matrix
+        dev = max(dev, gram(mat), completeness(mat))
+    rows.append(("bich3-alice", dev, dev <= budget))
+    unitary_dev = 0.0
+    involution_dev = 0.0
+    for phi in phis:
+        for r in (0, 1):
+            mat = bich_bob_basis(r, phi).matrix
+            unitary_dev = max(unitary_dev, gram(mat))
+            involution_dev = max(
+                involution_dev, float(np.abs(mat @ mat - np.eye(2)).max())
+            )
+    rows.append(("bich3-bob-unitary", unitary_dev, unitary_dev <= budget))
+    rows.append(("bich3-bob-self-inverse", involution_dev, involution_dev <= budget))
+    dev = 0.0
+    for phi in phis:
+        for l_j in (0, 1):
+            dev = max(dev, gram(improved_bob_basis(l_j, phi).matrix))
+    rows.append(("improved-bob-unitary", dev, dev <= budget))
+    for fixture in fixtures:
+        if fixture != "eq25-as-printed":
+            raise ValueError(f"unknown fixture {fixture!r}")
+        dev = 0.0
+        for t in targets:
+            printed = printed_improved_matrix3(t)
+            norms = np.linalg.norm(printed, axis=1)
+            dev = max(dev, float(np.abs(norms - 1.0).max()), gram(printed))
+        rows.append((f"fixture-{fixture}", dev, dev <= budget))
+    return rows
 
 
 def detect_errata(seed: int = 0) -> tuple[ErratumFinding, ...]:

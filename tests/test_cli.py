@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from jrsp import verify
 from jrsp.cli import build_parser, main
 
 AUDIT_FLAGS = ["--a", "0.6", "--b", "0.8", "--phi", "1.1"]
@@ -256,6 +257,39 @@ class TestConfigFile:
         assert "cannot read config file" in err
 
 
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["table", "--variant", "improved"], None),
+        (["table", "--semantics", "fidelity"], None),
+        (["table", "--mode", "sample"], None),
+        (["table", "--trials", "5"], None),
+        (["compare-rules", "--variant", "improved"], None),
+        (["compare-rules", "--rule", "derived"], None),
+        (["compare-rules", "--semantics", "fidelity"], None),
+        (["compare-rules", "--mode", "sample"], None),
+        (["compare-rules", "--trials", "5"], None),
+        (["table"], {"variant": "bich3"}),
+        (["table"], {"mode": "sample"}),
+        (["compare-rules"], {"tolerances": {"success": 0.9, "probability_floor": 0.5}}),
+        (["compare-rules"], {"rule": "table2"}),
+    ],
+)
+def test_options_a_command_does_not_use_exit_one(capsys, tmp_path, argv, doc):
+    if doc is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [*argv, "--config", str(cfg)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag the command lacks
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err or "unknown config keys" in captured.err
+
+
 class TestTable:
     def test_derived_rule_matches_everywhere(self, capsys):
         code, out, _ = run_cli(capsys, ["table"])
@@ -298,6 +332,27 @@ class TestTable:
 
 
 class TestCheckBases:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n-max", "13"], "n=13"),
+            (["--n-min", "1"], "n=1"),
+            (["--n-min", "13", "--n-max", "14"], "n=13"),
+            (["--n-min", "5", "--n-max", "3"], "need 2 <= n_min <= n_max, got 5..3"),
+        ],
+    )
+    def test_party_range_is_checked_before_any_basis_is_built(
+        self, capsys, monkeypatch, flags, message
+    ):
+        def refuse(*args):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(verify, "improved_alice_basis", refuse)
+        code, out, err = run_cli(capsys, ["check-bases", *flags])
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_default_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, ["check-bases", "--samples", "10"])
         assert code == 0
@@ -413,6 +468,66 @@ GOLDEN_SIMULATE = [
 def test_simulate_output_bytes_are_pinned(capsys, flags, digests, fmt):
     code, out, _ = run_cli(capsys, ["simulate", *flags, "--format", fmt])
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[fmt]
+
+
+# SHA-256 of the stdout of the other four commands and their exit codes,
+# recorded with one adapter and one renderer per command.
+GOLDEN_COMMANDS = [
+    (["table", "--rule", "derived"], 0, {
+        "text": "f581cf70772b31ed33568d47d98bc524caac17b960383e1d3b663c816a374144",
+        "json": "48ff62fbf828e4d9dd88c5ab91ac85089cd480071abf104c5c2bef7148c3c28d",
+        "csv": "75f60acd4fb0a85078b8e68a6d262ce56dbb3abb61258e26c68c08234a721fd9",
+    }),
+    (["table", "--rule", "table2"], 0, {
+        "text": "dbfa9575a3ec7fbad0fc92ff9d7aaee1dd9558109421cea0f601c601058f3063",
+        "json": "d9ba4736559c244d8b6f64d4ba09f1ba4e045d6086aab6a0ac4e0f6fde06b230",
+        "csv": "8a1b3b9297de8d5ad14372caddca64ee7a24cc4f3baba02c32034e6fc9ee8758",
+    }),
+    (["table", "--rule", "paper-step3"], 0, {
+        "text": "25c056aeac47dae93e519ef5322176be8ba3f39c7e56388feb7a73873a477449",
+        "json": "3337c033f4253edc46371fabbac18c85499ea2d9abdec08142e9fde63f27d525",
+        "csv": "41329afed979cf29a340f3a4915381df04046a68cf83bf813fd2ace6bc457453",
+    }),
+    (["check-bases", "--samples", "5"], 0, {
+        "text": "f0efb928e4eb589d5e91746889a69ee7ca2809c15feb6c8b91f2f4bf030b3cc7",
+        "json": "c32eed5e6eea51478d7848c069f87c303095851d346efeb8d26a04ac60e2e702",
+        "csv": "ca12815c29b88c17cb85407aea150f79dabb3d8f1092205848b9edf6a501a05b",
+    }),
+    (["check-bases", "--samples", "5", "--fixture", "eq25-as-printed"], 2, {
+        "text": "95ef2189f3c76112418450b16c96332b3b96d7909da9f325a68e3e37865dcbfa",
+        "json": "9fe5bf6c881a481677a97bb3dfc84c7cd6df50de54775cc243b1457305c7b10e",
+        "csv": "866f0fe327e07094ce9b19dd510137e8d71117e440cd4eecdcf5b90c27fb262e",
+    }),
+    (["errata", "--seed", "0"], 0, {
+        "text": "e00f40b14e795d1063454bb136af59325f24f02c3d7a78cee3a78348b5274441",
+        "json": "717d9b3bc2e0e43faf04c38c921c9241685e0282b6f9d524045746bcc9723a8f",
+        "csv": "70d7abebc26b934737238f3755007d793715882bf02ebf6b280b9f14bef79e99",
+    }),
+    (["errata", "--seed", "3"], 0, {
+        "text": "6f848fffbe17058d0eaa621b28e2519f2df6711f29a427c8396cf2789c00cf73",
+        "json": "8b3609d65f0335d9e0ce753171c328c5522086b5ca20a043438bf360d046ea6f",
+        "csv": "f13b220398d80d1c85553a2522edd7d5092e3cf419ab7db572551a2a9e143321",
+    }),
+    (["compare-rules"], 0, {
+        "text": "1694e27bb1e6f9a31331f3fd67bd0534c8b5be0d91faa3805db97c58dcd4faa3",
+        "json": "62078fff583761a251aabc938c706c332109f6dd7eb17c09cde0b6df0ee3cbc3",
+        "csv": "5ac5b3024ae6c7e51d2736d393920c52f9e06db93f5287e6dd442ffce138e197",
+    }),
+    (["compare-rules", "--rules", "derived,paper-step3", "--n", "4",
+      "--shares-mode", "random", "--seed", "2"], 0, {
+        "text": "d03feb00663585c04e61367abe78779a712fe2c1519b6b4b693dce99237dbf8a",
+        "json": "1d7f9a0d9ed35e9152f051b6c860b323e0b2630a8a3f9aa718d33fa00dafe640",
+        "csv": "3a70ce12288a477cf942dbf22ab5bca1593a8d609044f8623983adaaedb87bf8",
+    }),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv, exit_code, digests", GOLDEN_COMMANDS)
+def test_command_output_bytes_are_pinned(capsys, argv, exit_code, digests, fmt):
+    code, out, _ = run_cli(capsys, [*argv, "--format", fmt])
+    assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digests[fmt]
 
 
