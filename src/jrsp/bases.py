@@ -212,11 +212,7 @@ def printed_improved_matrix3(t: TargetState) -> np.ndarray:
     validation whenever b is nonzero; the verification suite uses it as a
     known-bad fixture.
     """
-    mat = np.zeros((8, 8), dtype=np.complex128)
-    for l in range(8):
-        l1 = (l >> 2) & 1
-        mat[l, l] = t.a
-        mat[l, (~l) & 7] = (-1.0) ** l1 * t.b
+    mat = improved_alice_basis(t, 3).matrix.copy()
     mat[0b100, 0b101] = t.b
     return mat
 
@@ -297,7 +293,6 @@ class RecoveryRule:
     variant: str
     codes: Callable
     requires_n: int | None = None
-    summary: str = ""
 
     def __call__(self, l: Sequence[int] | str, m: Sequence[int] | str) -> RecoveryOp:
         l_bits = as_bits(l)
@@ -332,26 +327,22 @@ RULES: dict[str, RecoveryRule] = {
         name="derived",
         variant="improved",
         codes=_derived_codes,
-        summary="rederived rule, exact on every branch for any party count",
     ),
     "paper-step3": RecoveryRule(
         name="paper-step3",
         variant="improved",
         codes=_paper_step3_codes,
-        summary="final-step rule as printed, correct only when all sender bits agree",
     ),
     "table2": RecoveryRule(
         name="table2",
         variant="improved",
         codes=_table2_codes,
         requires_n=3,
-        summary="printed three-party table, correct only on the leading-bit-zero half",
     ),
     "table1": RecoveryRule(
         name="table1",
         variant="bich3",
         codes=_table1_codes,
         requires_n=3,
-        summary="corrected receiver lookup for the three-party scheme",
     ),
 }

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -207,9 +208,14 @@ def _resolve_config(args: argparse.Namespace, keys: frozenset[str]) -> RunConfig
     unknown = set(tol_file) - {field.name for field in fields(Tolerances)}
     if unknown:
         raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-    tolerances = Tolerances(**{
-        key: _json_number(value, f"tolerances.{key}") for key, value in tol_file.items()
-    })
+    tol_file = {key: _json_number(value, f"tolerances.{key}") for key, value in tol_file.items()}
+    # equality and norm are fixed; a file may repeat them, as --dump-config does.
+    settable = {field.name for field in fields(Tolerances) if field.init}
+    for key, value in tol_file.items():
+        if key not in settable and value != getattr(DEFAULT_TOL, key):
+            raise ValueError(f"tolerances.{key} is fixed at {getattr(DEFAULT_TOL, key)!r}, "
+                             f"got {value!r}")
+    tolerances = Tolerances(**{key: tol_file[key] for key in tol_file if key in settable})
 
     target_file = {
         key: _json_number(value, f"target.{key}")
@@ -437,6 +443,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     Returns 0 normally and 2 when an --assert-p check fails; configuration
     problems raise ValueError before anything is printed.
     """
+    if args.assert_p is not None and not math.isfinite(args.assert_p):
+        raise ValueError(f"--assert-p must be finite, got {args.assert_p!r}")
+    if not (math.isfinite(args.assert_tol) and args.assert_tol >= 0.0):
+        raise ValueError(
+            f"--assert-tol must be finite and nonnegative, got {args.assert_tol!r}"
+        )
     config = _resolve_config(args, _SIMULATE_KEYS)
     if config.mode == "sample":
         report = run_sampled(

@@ -369,8 +369,14 @@ def _rule_codes(
 
 
 def _check_run_args(
-    variant: str, t: TargetState, shares: Sequence[float], rule: str | RecoveryRule, tol: Tolerances
+    variant: str, t: TargetState, shares: Sequence[float], rule: str | RecoveryRule
 ) -> tuple[tuple[float, ...], int, RecoveryRule]:
+    """Validate a run's inputs and resolve its rule.
+
+    The share sum must equal the target phase modulo 2 pi within the fixed
+    DEFAULT_TOL.equality, whatever the run's own budgets; the run's success
+    budget only grades branches.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     shares = tuple(float(v) for v in shares)
@@ -382,7 +388,7 @@ def _check_run_args(
         raise ValueError(
             f"variant 'bich3' needs exactly 2 phase shares, got {len(shares)}"
         )
-    if _angle_gap(sum(shares), t.phi) > tol.success:
+    if _angle_gap(sum(shares), t.phi) > DEFAULT_TOL.equality:
         raise ValueError(
             f"shares sum to {sum(shares)!r}, which is not the target phase "
             f"{t.phi!r} modulo 2 pi"
@@ -426,7 +432,7 @@ def run_exact(
     :func:`build_channel` with ``projective_measure`` and the full helper
     Kronecker basis.
     """
-    shares, n, resolved = _check_run_args(variant, t, shares, rule, tol)
+    shares, n, resolved = _check_run_args(variant, t, shares, rule)
     outcomes, helper_dim = 1 << n, 1 << (n - 1)
     alice = _alice_basis(variant, t, n)
 

@@ -15,7 +15,7 @@ validates its input against the budgets in :class:`Tolerances`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -37,16 +37,21 @@ __all__ = [
 class Tolerances:
     """Numerical budgets shared across the package.
 
-    equality bounds orthonormality and amplitude-equality checks, norm bounds
-    the drift of derived states away from unit norm, probability_floor is the
+    A run's budgets are the two settable fields: probability_floor is the
     outcome weight below which no residual state is produced (avoiding a
     division by almost zero), and success is the threshold behind both the
-    strict and the fidelity success verdicts.  Every budget must be finite
-    and nonnegative; a ValueError names the first one that is not.
+    strict and the fidelity success verdicts.  Each must be finite and
+    nonnegative; a ValueError names the first one that is not.
+
+    equality and norm are fixed validation budgets, read from DEFAULT_TOL
+    wherever input is checked: equality bounds orthonormality, state
+    normalisation and the share-sum check, and norm bounds a target's drift
+    from a^2 + b^2 = 1.  They are fields so that reports print them, but not
+    parameters: Tolerances(equality=...) raises TypeError.
     """
 
-    equality: float = 1e-10
-    norm: float = 1e-12
+    equality: float = field(default=1e-10, init=False)
+    norm: float = field(default=1e-12, init=False)
     probability_floor: float = 1e-14
     success: float = 1e-9
 

@@ -60,7 +60,7 @@ def reference_run_exact(
     tol: Tolerances = DEFAULT_TOL,
 ) -> ReferenceRun:
     """Enumerate and grade every branch one transcript at a time."""
-    shares, n, resolved = _check_run_args(variant, t, shares, rule, tol)
+    shares, n, resolved = _check_run_args(variant, t, shares, rule)
     channel = build_channel(n)
     alice = bich_alice_basis3(t) if variant == "bich3" else improved_alice_basis(t, n)
     target_conj = t.state("C").amplitudes.conj()

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jrsp import verify
+from jrsp import cli, verify
 from jrsp.cli import build_parser, main
 
 AUDIT_FLAGS = ["--a", "0.6", "--b", "0.8", "--phi", "1.1"]
@@ -91,6 +94,27 @@ class TestSimulate:
             capsys, [*base, "--assert-p", "0.26", "--assert-tol", "0.02"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--assert-p", "nan"],
+            ["--assert-p", "0.9", "--assert-tol", "nan"],
+            ["--assert-p", "0.9", "--assert-tol", "inf"],
+            ["--assert-p", "1", "--assert-tol", "-1"],
+        ],
+    )
+    def test_assertions_that_cannot_fail_exit_one(self, capsys, monkeypatch, tmp_path, flags):
+        def refuse(*args):
+            raise AssertionError("the protocol ran")
+
+        monkeypatch.setattr(cli, "run_exact", refuse)
+        dump = tmp_path / "dump.json"
+        code, out, err = run_cli(capsys, ["simulate", *flags, "--dump-config", str(dump)])
+        assert code == 1
+        assert out == ""
+        assert flags[-2] in err
+        assert not dump.exists()
 
     def test_sampled_mode_reports_frequencies(self, capsys):
         code, out, _ = run_cli(
@@ -209,6 +233,42 @@ class TestConfigFile:
         assert code == 1
         assert out == ""
         assert key in err
+
+    @pytest.mark.parametrize("command", ["simulate", "table"])
+    @pytest.mark.parametrize("key", ["equality", "norm"])
+    def test_fixed_tolerances_take_only_their_value(self, capsys, tmp_path, command, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tolerances": {key: 1e-6}}))
+        code, out, err = run_cli(capsys, [command, "--config", str(cfg)])
+        assert code == 1
+        assert out == ""
+        assert f"tolerances.{key} is fixed" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "table"])
+    def test_dumped_tolerances_reload_to_the_same_bytes(self, capsys, tmp_path, command):
+        dump = tmp_path / "dump.json"
+        code, _, _ = run_cli(capsys, ["simulate", "--dump-config", str(dump)])
+        assert code == 0
+        tolerances = json.loads(dump.read_text())["tolerances"]
+        assert list(tolerances) == ["equality", "norm", "probability_floor", "success"]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tolerances": tolerances}))
+        _, plain, _ = run_cli(capsys, [command])
+        code, out, _ = run_cli(capsys, [command, "--config", str(cfg)])
+        assert code == 0
+        assert out == plain
+
+    def test_success_budget_does_not_widen_the_share_sum_check(self, capsys, tmp_path):
+        # The shares miss phi by 5e-4 rad, inside this success budget.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tolerances": {"success": 0.001}}))
+        code, out, err = run_cli(
+            capsys,
+            ["simulate", "--config", str(cfg), "--shares", "0.55,0.5505", "--phi", "1.1"],
+        )
+        assert code == 1
+        assert out == ""
+        assert "not the target phase" in err
 
     @pytest.mark.parametrize(
         "doc, key",
@@ -536,6 +596,46 @@ def test_parser_exposes_all_commands():
     text = parser.format_help()
     for command in ("simulate", "table", "check-bases", "errata", "compare-rules"):
         assert command in text
+
+
+def _readme_commands() -> dict[str, tuple[set[str], set[str]]]:
+    """Command name to the (options, config keys) README's command table
+    lists for it, with "target options" spelled out."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = readme[readme.index("## Command line"):readme.index("### simulate")]
+    target = set(re.search(r"\*target options\* `([^`]*)`", readme).group(1).split())
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \| (.*) \|$", readme, re.M)
+    commands = {}
+    for name, options, keys in rows:
+        listed = set(re.findall(r"--[\w-]+", options))
+        if options.startswith("target options"):
+            listed |= target
+        commands[name] = (listed, set(" ".join(re.findall(r"`([^`]*)`", keys)).split()))
+    return commands
+
+
+def test_readme_command_table_matches_the_parser():
+    parser = build_parser()
+    subparsers = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    config_keys = {
+        "simulate": cli._SIMULATE_KEYS,
+        "table": cli._TABLE_KEYS,
+        "compare-rules": cli._TARGET_KEYS,
+        "check-bases": set(),
+        "errata": set(),
+    }
+    documented = _readme_commands()
+    assert set(documented) == set(subparsers) == set(config_keys)
+    for name, (options, keys) in documented.items():
+        parsed = {
+            opt for action in subparsers[name]._actions
+            for opt in action.option_strings if opt != "--help" and opt.startswith("--")
+        }
+        assert options == parsed, name
+        assert keys == set(config_keys[name]), name
 
 
 def test_module_entry_point_runs():

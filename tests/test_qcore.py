@@ -156,9 +156,18 @@ def test_tolerances_defaults():
 @pytest.mark.parametrize("key", ["equality", "norm", "probability_floor", "success"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0])
 def test_tolerances_reject_non_finite_and_negative_values(key, bad):
-    with pytest.raises(ValueError, match=key):
+    # equality and norm are fixed budgets, so any value is refused as an
+    # unexpected argument.
+    error = ValueError if key in ("probability_floor", "success") else TypeError
+    with pytest.raises(error, match=key):
         Tolerances(**{key: bad})
 
 
+@pytest.mark.parametrize("key", ["equality", "norm"])
+def test_fixed_tolerances_are_not_parameters(key):
+    with pytest.raises(TypeError, match=key):
+        Tolerances(**{key: getattr(DEFAULT_TOL, key)})
+
+
 def test_tolerances_accept_zero():
-    assert Tolerances(equality=0.0, norm=0.0, probability_floor=0.0, success=0.0).success == 0.0
+    assert Tolerances(probability_floor=0.0, success=0.0).success == 0.0
