@@ -209,7 +209,8 @@ def _resolve_config(args: argparse.Namespace, keys: frozenset[str]) -> RunConfig
     if unknown:
         raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
     tol_file = {key: _json_number(value, f"tolerances.{key}") for key, value in tol_file.items()}
-    # equality and norm are fixed; a file may repeat them, as --dump-config does.
+    # Only success is settable; a file may repeat the fixed budgets, as
+    # --dump-config does.
     settable = {field.name for field in fields(Tolerances) if field.init}
     for key, value in tol_file.items():
         if key not in settable and value != getattr(DEFAULT_TOL, key):
@@ -301,8 +302,8 @@ def _branch_rows(report: ProtocolReport) -> list[tuple]:
     """One report-grade row per branch, read off the report's columns.
 
     A row is (l, m, prob, recovery, fidelity, strict, phase_re, phase_im);
-    every number is a (value rounded to 12 digits, its text) pair, and
-    fidelity and the phase parts are None where the branch carries none.
+    every number is a (value rounded to 12 digits, its text) pair, and the
+    phase parts are None off faithful branches.
     prob is the exact probability, or the observed frequency of a sampled
     run.  Every format renders these rows, so all three carry the same
     numbers.
@@ -316,15 +317,14 @@ def _branch_rows(report: ProtocolReport) -> list[tuple]:
     else:
         prob = report.prob
     rows = []
-    for pos, (p, op, live, fid, strict, faithful, re, im) in enumerate(zip(
-        _graded(prob), report.ops.tolist(), report.live.tolist(),
+    for pos, (p, op, fid, strict, faithful, re, im) in enumerate(zip(
+        _graded(prob), report.ops.tolist(),
         _graded(report.fidelity), report.strict.tolist(), report.faithful.tolist(),
         _graded(report.phase.real), _graded(report.phase.imag),
     )):
         rows.append((
             l_txt[pos >> helpers], m_txt[pos & ((1 << helpers) - 1)], p, labels[op],
-            fid if live else None, strict,
-            re if faithful else None, im if faithful else None,
+            fid, strict, re if faithful else None, im if faithful else None,
         ))
     return rows
 
@@ -336,7 +336,7 @@ def _branch_docs(report: ProtocolReport) -> list[dict]:
             "m": m,
             "prob": prob[0],
             "recovery": op,
-            "fidelity": None if fid is None else fid[0],
+            "fidelity": fid[0],
             "strict": strict,
             "residual_phase": None if re is None else {"re": re[0], "im": im[0]},
         }
@@ -388,14 +388,13 @@ def _render_report_text(config: RunConfig, report: ProtocolReport) -> str:
     header += f"{'prob':<16}  {'recovery':<8}  {'fidelity':<16}  {'strict':<6}  residual_phase"
     lines.append(header)
     for l, m, prob, op, fid, strict, re, im in _branch_rows(report):
-        fid_txt = "-" if fid is None else fid[1]
         if re is None:
             phase_txt = "-"
         else:
             sign = "" if im[1].startswith("-") else "+"
             phase_txt = f"{re[1]}{sign}{im[1]}j"
         lines.append(
-            f"{l:<{l_width}}  {m:<{m_width}}  {prob[1]:<16}  {op:<8}  {fid_txt:<16}  "
+            f"{l:<{l_width}}  {m:<{m_width}}  {prob[1]:<16}  {op:<8}  {fid[1]:<16}  "
             f"{'yes' if strict else 'no':<6}  {phase_txt}"
         )
     lines += [
@@ -427,11 +426,10 @@ def _render_report_csv(config: RunConfig, report: ProtocolReport) -> str:
         "l,m,prob,recovery,fidelity,strict,residual_phase_re,residual_phase_im",
     ]
     for l, m, prob, op, fid, strict, re, im in _branch_rows(report):
-        fid_txt = "" if fid is None else fid[1]
         re_txt = "" if re is None else re[1]
         im_txt = "" if im is None else im[1]
         lines.append(
-            f"{l},{m},{prob[1]},{op},{fid_txt},{'true' if strict else 'false'},"
+            f"{l},{m},{prob[1]},{op},{fid[1]},{'true' if strict else 'false'},"
             f"{re_txt},{im_txt}"
         )
     return "\n".join(lines) + "\n"
@@ -504,14 +502,14 @@ def cmd_table(args: argparse.Namespace) -> int:
     for pos, (code, best) in enumerate(zip(report.ops.tolist(), oracle_branches(report))):
         l, m = format(pos >> 2, "03b"), format(pos & 3, "02b")
         rule_label = RecoveryOp.from_code(code).label
-        oracle_label = "-" if best is None else best[0].label
+        oracle_label = best[0].label
         rows.append({
             "l": l,
             "m": m,
             "collapsed": _collapsed_expression(l, m),
             "rule_op": rule_label,
             "oracle_op": oracle_label,
-            "match": best is not None and rule_label == oracle_label,
+            "match": rule_label == oracle_label,
         })
     matches = sum(1 for row in rows if row["match"])
     if config.format == "json":
@@ -586,8 +584,6 @@ def cmd_check_bases(args: argparse.Namespace) -> int:
 
 def cmd_errata(args: argparse.Namespace) -> int:
     """Print the findings report on the manuscript's internal inconsistencies."""
-    if args.seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {args.seed}")
     findings = detect_errata(args.seed)
     if args.format == "json":
         _write_json({
@@ -658,6 +654,17 @@ def cmd_compare_rules(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """argparse type of every --seed flag: a nonnegative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {seed}")
+    return seed
+
+
 def _target_flags() -> argparse.ArgumentParser:
     """Parent parser of the options that pick a target and an output format."""
     target = argparse.ArgumentParser(add_help=False)
@@ -671,7 +678,7 @@ def _target_flags() -> argparse.ArgumentParser:
     target.add_argument("--shares", help="explicit phase shares, comma separated")
     target.add_argument("--shares-mode", choices=_SHARE_MODES, dest="shares_mode",
                         help="how to split phi when --shares is absent")
-    target.add_argument("--seed", type=int, help="seed for sampling and random shares")
+    target.add_argument("--seed", type=_seed, help="seed for sampling and random shares")
     target.add_argument("--format", choices=_FORMATS, help="output format")
     return target
 
@@ -720,14 +727,14 @@ def build_parser() -> _Parser:
     chk.add_argument("--n-min", type=int, default=2, dest="n_min")
     chk.add_argument("--n-max", type=int, default=6, dest="n_max")
     chk.add_argument("--samples", type=int, default=100)
-    chk.add_argument("--seed", type=int, default=0)
+    chk.add_argument("--seed", type=_seed, default=0)
     chk.add_argument("--fixture", action="append", choices=_FIXTURES, default=[],
                      help="also check a known-bad printed construction")
     chk.add_argument("--format", choices=_FORMATS, default="text")
     chk.set_defaults(func=cmd_check_bases)
 
     err = sub.add_parser("errata", help="findings on the manuscript under audit")
-    err.add_argument("--seed", type=int, default=0)
+    err.add_argument("--seed", type=_seed, default=0)
     err.add_argument("--format", choices=_FORMATS, default="text")
     err.set_defaults(func=cmd_errata)
 

@@ -81,18 +81,18 @@ class BranchRecord:
     recovery operator.  fidelity grades post_recovery against the target,
     strict_match additionally demands that the leftover global phase is a
     clean sign, and residual_phase records that leftover unit scalar
-    whenever the fidelity check passes.  The state and grade fields are None
-    on branches of negligible probability.
+    whenever the fidelity check passes.  residual_phase is None on the other
+    branches; no other field is ever None.
     """
 
     alice_bits: tuple[int, ...]
     bob_bits: tuple[int, ...]
     probability: float
-    pre_recovery: StateVector | None
+    pre_recovery: StateVector
     recovery: RecoveryOp
-    post_recovery: StateVector | None
+    post_recovery: StateVector
     strict_match: bool
-    fidelity: float | None
+    fidelity: float
     residual_phase: complex | None
 
     @property
@@ -113,11 +113,10 @@ class ProtocolReport:
     probabilities; pre and post, of shape (branches, 2), the receiver qubit
     before and after recovery; ops the recovery op codes (RecoveryOp.code);
     fidelity the fidelity of post to the target; phase the leftover unit
-    scalar.  live marks branches above the probability floor, faithful
-    those whose fidelity passes the success threshold, and strict those
-    whose phase is also a clean sign.  Where a branch record would hold None
-    the columns hold zeros: pre, post and fidelity off live branches, phase
-    off faithful ones.  The columns are read-only.
+    scalar.  faithful marks the branches whose fidelity passes the success
+    threshold, and strict those whose phase is also a clean sign; phase is
+    zero off faithful branches.  Every branch weighs 2^-(2n-1), so each one
+    carries a receiver state.  The columns are read-only.
 
     p_strict and p_fidelity are exact branch-probability sums in exact mode
     and empirical frequencies in sampled mode.  counts aligns with the
@@ -138,7 +137,6 @@ class ProtocolReport:
     ops: np.ndarray
     fidelity: np.ndarray
     phase: np.ndarray
-    live: np.ndarray
     faithful: np.ndarray
     strict: np.ndarray
     mode: str = "exact"
@@ -155,17 +153,12 @@ class ProtocolReport:
         helpers = self.n - 1
         l_bits = index_to_bits(i >> helpers, self.n)
         m_bits = index_to_bits(i & ((1 << helpers) - 1), helpers)
-        op = RecoveryOp.from_code(self.ops[i])
-        if not self.live[i]:
-            return BranchRecord(
-                l_bits, m_bits, float(self.prob[i]), None, op, None, False, None, None
-            )
         return BranchRecord(
             l_bits,
             m_bits,
             float(self.prob[i]),
             StateVector._trusted(self.pre[i], ("C",)),
-            op,
+            RecoveryOp.from_code(self.ops[i]),
             StateVector._trusted(self.post[i], ("C",)),
             bool(self.strict[i]),
             float(self.fidelity[i]),
@@ -440,8 +433,7 @@ def run_exact(
     # the measured components are the scaled conjugate basis rows.
     comps = alice.matrix.conj() * 2.0 ** (-n / 2.0)
     p_alice = np.einsum("mj,mj->m", comps.conj(), comps).real
-    alice_live = p_alice >= tol.probability_floor
-    norm = np.sqrt(p_alice, out=np.ones(outcomes), where=alice_live)
+    norm = np.sqrt(p_alice)
 
     # Every sender row lives on one ket and its bitwise complement, so the
     # post-sender state has two amplitudes, and each helper component is
@@ -460,11 +452,8 @@ def run_exact(
     comp = comp.reshape(-1, 2)
 
     cond = np.einsum("mj,mj->m", comp.conj(), comp).real
-    sender_live = np.repeat(alice_live, helper_dim)
-    prob = np.where(sender_live, np.repeat(p_alice, helper_dim) * cond, 0.0)
-    live = sender_live & (cond >= tol.probability_floor)
-    pre = np.zeros_like(comp)
-    pre[live] = comp[live] / np.sqrt(cond[live])[:, None]
+    prob = np.repeat(p_alice, helper_dim) * cond
+    pre = comp / np.sqrt(cond)[:, None]
 
     l_idx, m_idx = np.divmod(np.arange(prob.size), helper_dim)
     ops = _rule_codes(resolved, l_idx, m_idx, n)
@@ -473,24 +462,24 @@ def run_exact(
     # sender outcome's branches is applied to that row alone, exactly as a
     # product per sender outcome and op does it.
     group = (l_idx << 2) | ops
-    once = np.bincount(group[sender_live], minlength=4 * outcomes)[group] == 1
-    post = np.zeros_like(pre)
+    once = np.bincount(group, minlength=4 * outcomes)[group] == 1
+    post = np.empty_like(pre)
     for code, op in enumerate(_PAULI_OPS):
         pauli = op.matrix
-        picked = live & (ops == code)
+        picked = ops == code
         post[picked & ~once] = pre[picked & ~once] @ pauli.T
         for i in np.flatnonzero(picked & once):
             post[i : i + 1] = pre[i : i + 1] @ pauli.T
 
     overlaps = post @ t.state("C").amplitudes.conj()
-    fidelity = np.where(live, np.abs(overlaps) ** 2, 0.0)
-    faithful = live & (fidelity >= 1.0 - tol.success)
+    fidelity = np.abs(overlaps) ** 2
+    faithful = fidelity >= 1.0 - tol.success
     phase = _unit_phases(overlaps, faithful)
     gap = np.minimum(_modulus(phase - 1.0), _modulus(phase + 1.0))
     strict = faithful & (gap <= tol.success)
     columns = dict(
         prob=prob, pre=pre, post=post, ops=ops, fidelity=fidelity, phase=phase,
-        live=live, faithful=faithful, strict=strict,
+        faithful=faithful, strict=strict,
     )
     for column in columns.values():
         column.setflags(write=False)

@@ -14,8 +14,7 @@ validates its input against the budgets in :class:`Tolerances`.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -37,32 +36,30 @@ __all__ = [
 class Tolerances:
     """Numerical budgets shared across the package.
 
-    A run's budgets are the two settable fields: probability_floor is the
-    outcome weight below which no residual state is produced (avoiding a
-    division by almost zero), and success is the threshold behind both the
-    strict and the fidelity success verdicts.  Each must be finite and
-    nonnegative; a ValueError names the first one that is not.
+    success is the one settable budget: the threshold behind both the
+    strict and the fidelity success verdicts.  It must lie in [0, 1), since
+    a budget of 1 or more would pass every branch whatever its fidelity; a
+    ValueError names it otherwise.
 
-    equality and norm are fixed validation budgets, read from DEFAULT_TOL
-    wherever input is checked: equality bounds orthonormality, state
-    normalisation and the share-sum check, and norm bounds a target's drift
-    from a^2 + b^2 = 1.  They are fields so that reports print them, but not
-    parameters: Tolerances(equality=...) raises TypeError.
+    equality, norm and probability_floor are fixed budgets, read from
+    DEFAULT_TOL wherever they apply: equality bounds orthonormality, state
+    normalisation and the share-sum check, norm bounds a target's drift
+    from a^2 + b^2 = 1, and probability_floor is the outcome weight below
+    which projective_measure produces no residual state.  Every branch of
+    both protocols weighs 2^-(2n-1), so the floor never prunes one.  They
+    are fields so that reports print them, but not parameters:
+    Tolerances(equality=...) raises TypeError.
     """
 
     equality: float = field(default=1e-10, init=False)
     norm: float = field(default=1e-12, init=False)
-    probability_floor: float = 1e-14
+    probability_floor: float = field(default=1e-14, init=False)
     success: float = 1e-9
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            value = float(getattr(self, field.name))
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(
-                    f"tolerance {field.name!r} must be finite and nonnegative, "
-                    f"got {value!r}"
-                )
+        value = float(self.success)
+        if not 0.0 <= value < 1.0:
+            raise ValueError(f"tolerance 'success' must lie in [0, 1), got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()

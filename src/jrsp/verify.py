@@ -107,12 +107,36 @@ def _pauli_overlaps(rows: np.ndarray, target_amps: np.ndarray) -> np.ndarray:
 
     rows has one state per row; the result has shape (4, len(rows)) in op
     code order I, X, Z, ZX, which is also the search and tie-break order.
+    The overlap is summed entry by entry rather than by a matrix-vector
+    product, whose one-row case takes numpy's dot path and can differ in the
+    last bit, so a row's overlaps do not depend on the rows beside it.
     """
-    target_conj = target_amps.conj()
+    c0, c1 = target_amps.conj()
     out = np.empty((4, rows.shape[0]), dtype=np.complex128)
     for idx, op in enumerate(_PAULI_OPS):
-        out[idx] = (rows @ op.matrix.T) @ target_conj
+        moved = rows @ op.matrix.T
+        out[idx] = moved[:, 0] * c0 + moved[:, 1] * c1
     return out
+
+
+def _oracle(
+    rows: np.ndarray, t: TargetState, success: float
+) -> list[tuple[RecoveryOp, float, complex | None]]:
+    """The Pauli oracle's (operator, fidelity, residual phase) for each row,
+    with the phase None where the best fidelity misses 1 - success."""
+    overlaps = _pauli_overlaps(rows, t.state().amplitudes)
+    fids = np.abs(overlaps) ** 2
+    best = np.argmax(fids, axis=0)
+    cols = np.arange(rows.shape[0])
+    best_fids = fids[best, cols]
+    faithful = best_fids >= 1.0 - success
+    phases = _unit_phases(overlaps[best, cols], faithful)
+    return [
+        (_PAULI_OPS[idx], fid, phase if ok else None)
+        for idx, fid, ok, phase in zip(
+            best.tolist(), best_fids.tolist(), faithful.tolist(), phases.tolist()
+        )
+    ]
 
 
 def best_pauli(
@@ -126,42 +150,20 @@ def best_pauli(
     """
     if state.num_qubits != 1:
         raise ValueError(f"the oracle works on one qubit, got {state.num_qubits}")
-    overlaps = _pauli_overlaps(state.amplitudes[None, :], t.state().amplitudes)[:, 0]
-    fids = np.abs(overlaps) ** 2
-    idx = int(np.argmax(fids))
-    fid = float(fids[idx])
-    phase: complex | None = None
-    if fid >= 1.0 - tol.success:
-        phase = complex(overlaps[idx] / abs(overlaps[idx]))
-    return _PAULI_OPS[idx], fid, phase
+    return _oracle(state.amplitudes[None, :], t, tol.success)[0]
 
 
 def oracle_branches(
     report: ProtocolReport,
-) -> tuple[tuple[RecoveryOp, float, complex | None] | None, ...]:
+) -> tuple[tuple[RecoveryOp, float, complex | None], ...]:
     """Run the Pauli oracle on every branch of a report at once.
 
     Returns one (operator, fidelity, residual phase) triple per branch,
-    aligned with report.branches, or None for branches that carry no state.
+    aligned with report.branches, with the phase None where the best
+    fidelity misses the report's success budget.  Each triple is what
+    best_pauli gives on that branch's pre-recovery state.
     """
-    results: list[tuple[RecoveryOp, float, complex | None] | None]
-    results = [None] * report.live.size
-    live = np.flatnonzero(report.live)
-    if not live.size:
-        return tuple(results)
-    overlaps = _pauli_overlaps(report.pre[live], report.target.state().amplitudes)
-    fids = np.abs(overlaps) ** 2
-    best = np.argmax(fids, axis=0)
-    cols = np.arange(live.size)
-    best_fids = fids[best, cols]
-    faithful = best_fids >= 1.0 - report.tolerances.success
-    phases = _unit_phases(overlaps[best, cols], faithful)
-    for i, idx, fid, ok, phase in zip(
-        live.tolist(), best.tolist(), best_fids.tolist(), faithful.tolist(),
-        phases.tolist(),
-    ):
-        results[i] = (_PAULI_OPS[idx], fid, phase if ok else None)
-    return tuple(results)
+    return tuple(_oracle(report.pre, report.target, report.tolerances.success))
 
 
 def compare_rules(
@@ -348,7 +350,7 @@ def _finding_unrecoverable(seed: int) -> ErratumFinding:
         shares = generic_shares(2, rng)
         t = TargetState(np.cos(theta), np.sin(theta), sum(shares))
         report = run_exact("bich3", t, shares, "table1")
-        min_fid = min(min_fid, float(report.fidelity[report.live].min()))
+        min_fid = min(min_fid, float(report.fidelity.min()))
         strict_values.append(report.p_strict)
         fidelity_values.append(report.p_fidelity)
         if k == 0:

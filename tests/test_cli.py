@@ -151,12 +151,20 @@ class TestSimulate:
             ["simulate", "--seed", "-4"],
             ["simulate", "--n", "13"],
             ["simulate", "--n", "13", "--mode", "sample"],
+            ["check-bases", "--seed", "-3"],
+            ["errata", "--seed", "-1"],
         ],
     )
     def test_config_errors_exit_one(self, capsys, argv):
-        code, _, err = run_cli(capsys, argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a bad flag value
+            code = exc.code
+        err = capsys.readouterr().err
         assert code == 1
         assert "error" in err.lower()
+        if "--seed" in argv:
+            assert "--seed" in err
 
     @pytest.mark.parametrize("mode", ["exact", "sample"])
     @pytest.mark.parametrize(
@@ -223,7 +231,8 @@ class TestConfigFile:
         assert json.loads(out)["tolerances"]["success"] == 1e-6
 
     @pytest.mark.parametrize("key", ["equality", "norm", "probability_floor", "success"])
-    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-1", '"1e-6"', "true", "null"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-1", '"1e-6"', "true", "null",
+                                     "1", "2"])
     def test_non_finite_or_negative_tolerances_exit_one(self, capsys, tmp_path, key, bad):
         cfg = tmp_path / "run.json"
         cfg.write_text(f'{{"tolerances": {{"{key}": {bad}}}}}')
@@ -235,7 +244,7 @@ class TestConfigFile:
         assert key in err
 
     @pytest.mark.parametrize("command", ["simulate", "table"])
-    @pytest.mark.parametrize("key", ["equality", "norm"])
+    @pytest.mark.parametrize("key", ["equality", "norm", "probability_floor"])
     def test_fixed_tolerances_take_only_their_value(self, capsys, tmp_path, command, key):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"tolerances": {key: 1e-6}}))
@@ -257,6 +266,17 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, [command, "--config", str(cfg)])
         assert code == 0
         assert out == plain
+
+    def test_success_budget_below_one_is_honoured(self, capsys, tmp_path):
+        # A wide budget below 1 is honoured as given, not refused.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tolerances": {"success": 0.9}}))
+        code, out, _ = run_cli(
+            capsys, ["simulate", "--config", str(cfg), "--variant", "bich3", *AUDIT_FLAGS]
+        )
+        assert code == 0
+        assert "success=0.9" in out
+        assert "p_strict: 0.75" in out
 
     def test_success_budget_does_not_widen_the_share_sum_check(self, capsys, tmp_path):
         # The shares miss phi by 5e-4 rad, inside this success budget.

@@ -154,20 +154,20 @@ def test_tolerances_defaults():
 
 
 @pytest.mark.parametrize("key", ["equality", "norm", "probability_floor", "success"])
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0, 1.0, 2.0])
 def test_tolerances_reject_non_finite_and_negative_values(key, bad):
-    # equality and norm are fixed budgets, so any value is refused as an
-    # unexpected argument.
-    error = ValueError if key in ("probability_floor", "success") else TypeError
+    # success must lie in [0, 1); the other budgets are fixed, so any value
+    # is refused as an unexpected argument.
+    error = ValueError if key == "success" else TypeError
     with pytest.raises(error, match=key):
         Tolerances(**{key: bad})
 
 
-@pytest.mark.parametrize("key", ["equality", "norm"])
+@pytest.mark.parametrize("key", ["equality", "norm", "probability_floor"])
 def test_fixed_tolerances_are_not_parameters(key):
     with pytest.raises(TypeError, match=key):
         Tolerances(**{key: getattr(DEFAULT_TOL, key)})
 
 
 def test_tolerances_accept_zero():
-    assert Tolerances(probability_floor=0.0, success=0.0).success == 0.0
+    assert Tolerances(success=0.0).success == 0.0
