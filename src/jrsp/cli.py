@@ -284,41 +284,43 @@ def _resolve_config(args: argparse.Namespace, keys: frozenset[str]) -> RunConfig
     )
 
 
-def _graded(values: np.ndarray) -> list[tuple[float, str]]:
-    """(_jnum(v), _g(_jnum(v))) for every entry of a float column.
+def _graded(values: np.ndarray) -> list[tuple[str, str]]:
+    """(repr(x), _g(x)) for x = _jnum(v), for every entry of a float column.
 
-    Each distinct bit pattern is rounded and printed once; keying on the
-    bits, not on the value, keeps -0.0 apart from 0.0.
+    repr(x) is how json.dumps prints a finite float, and _g(x) is the text
+    and csv form.  Each distinct bit pattern is rounded and printed once;
+    keying on the bits, not on the value, keeps -0.0 apart from 0.0.
     """
     keys, inverse = np.unique(
         np.ascontiguousarray(values, dtype=np.float64).view(np.uint64),
         return_inverse=True,
     )
-    graded = [(x, _g(x)) for x in map(_jnum, keys.view(np.float64).tolist())]
+    graded = [(repr(x), _g(x)) for x in map(_jnum, keys.view(np.float64).tolist())]
     return [graded[i] for i in inverse.ravel().tolist()]
+
+
+def _printed_prob(report: ProtocolReport) -> np.ndarray:
+    """The prob column as reported: exact, or a sampled run's frequencies."""
+    if report.mode == "sampled":
+        return np.array(report.counts) / report.trials
+    return report.prob
 
 
 def _branch_rows(report: ProtocolReport) -> list[tuple]:
     """One report-grade row per branch, read off the report's columns.
 
     A row is (l, m, prob, recovery, fidelity, strict, phase_re, phase_im);
-    every number is a (value rounded to 12 digits, its text) pair, and the
-    phase parts are None off faithful branches.
-    prob is the exact probability, or the observed frequency of a sampled
-    run.  Every format renders these rows, so all three carry the same
-    numbers.
+    every number is rounded to 12 digits and given as its (json, text) pair
+    from _graded, and the phase parts are None off faithful branches.
+    Every format renders these rows, so all three carry the same numbers.
     """
     n, helpers = report.n, report.n - 1
     l_txt = [format(l, f"0{n}b") for l in range(1 << n)]
     m_txt = [format(m, f"0{helpers}b") for m in range(1 << helpers)]
     labels = [RecoveryOp.from_code(code).label for code in range(4)]
-    if report.mode == "sampled":
-        prob = np.array(report.counts) / report.trials
-    else:
-        prob = report.prob
     rows = []
     for pos, (p, op, fid, strict, faithful, re, im) in enumerate(zip(
-        _graded(prob), report.ops.tolist(),
+        _graded(_printed_prob(report)), report.ops.tolist(),
         _graded(report.fidelity), report.strict.tolist(), report.faithful.tolist(),
         _graded(report.phase.real), _graded(report.phase.imag),
     )):
@@ -329,26 +331,26 @@ def _branch_rows(report: ProtocolReport) -> list[tuple]:
     return rows
 
 
-def _branch_docs(report: ProtocolReport) -> list[dict]:
-    return [
-        {
-            "l": l,
-            "m": m,
-            "prob": prob[0],
-            "recovery": op,
-            "fidelity": fid[0],
-            "strict": strict,
-            "residual_phase": None if re is None else {"re": re[0], "im": im[0]},
-        }
-        for l, m, prob, op, fid, strict, re, im in _branch_rows(report)
-    ]
-
-
 def _target_doc(t: TargetState) -> dict:
     return {"a": _jnum(t.a), "b": _jnum(t.b), "phi": _jnum(t.phi)}
 
 
+# Stands in for the branches array while json.dumps lays out the rest of
+# the simulate report.
+_BRANCHES = "\0branches\0"
+
+# One branch of the simulate report, laid out as json.dumps(doc, indent=2)
+# lays out a branch dict at that depth; l, m and recovery need no escaping.
+_JSON_ROW = (
+    '    {\n      "l": "%s",\n      "m": "%s",\n      "prob": %s,\n'
+    '      "recovery": "%s",\n      "fidelity": %s,\n      "strict": %s,\n'
+    '      "residual_phase": %s\n    }'
+)
+_JSON_PHASE = '{\n        "re": %s,\n        "im": %s\n      }'
+
+
 def _report_doc(config: RunConfig, report: ProtocolReport) -> dict:
+    """The simulate json report, with _BRANCHES in place of the branches."""
     return {
         "variant": report.variant,
         "n": report.n,
@@ -356,13 +358,37 @@ def _report_doc(config: RunConfig, report: ProtocolReport) -> dict:
         "shares": [_jnum(v) for v in report.shares],
         "rule": report.rule,
         "semantics": config.semantics,
-        "branches": _branch_docs(report),
+        "branches": _BRANCHES,
         "p_strict": _jnum(report.p_strict),
         "p_fidelity": _jnum(report.p_fidelity),
         "errata": [],
         "tolerances": asdict(report.tolerances),
         "seed": report.seed,
     }
+
+
+def _write_report_json(config: RunConfig, report: ProtocolReport) -> None:
+    """Write the simulate json report, the bytes of json.dumps(doc, indent=2).
+
+    The keys around the branches go through json.dumps; the branches are
+    filled into _JSON_ROW from the rows every format shares, which skips
+    the pure-Python encoder that indent selects.  A non-finite value, which
+    json.dumps would print as NaN or Infinity, raises ValueError before
+    anything is written.
+    """
+    printed = (_printed_prob(report), report.fidelity, report.phase[report.faithful])
+    if not all(np.isfinite(column).all() for column in printed):
+        raise ValueError("the report holds a non-finite number, which JSON cannot carry")
+    head, _, tail = json.dumps(_report_doc(config, report), indent=2,
+                               allow_nan=False).partition(json.dumps(_BRANCHES))
+    rows = [
+        _JSON_ROW % (l, m, prob[0], op, fid[0], "true" if strict else "false",
+                     "null" if re is None else _JSON_PHASE % (re[0], im[0]))
+        for l, m, prob, op, fid, strict, re, im in _branch_rows(report)
+    ]
+    sys.stdout.write(head + "[\n")
+    sys.stdout.write(",\n".join(rows))
+    sys.stdout.write("\n  ]" + tail + "\n")
 
 
 def _tol_txt(tol: Tolerances) -> str:
@@ -462,7 +488,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.dump_config is not None:
         Path(args.dump_config).write_text(json.dumps(asdict(config), indent=2) + "\n")
     if config.format == "json":
-        _write_json(_report_doc(config, report))
+        _write_report_json(config, report)
     elif config.format == "csv":
         sys.stdout.write(_render_report_csv(config, report))
     else:

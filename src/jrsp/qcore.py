@@ -196,12 +196,22 @@ class RecoveryOp:
 
     @property
     def matrix(self) -> np.ndarray:
-        mat = np.eye(2, dtype=np.complex128)
-        if self.x_exp:
-            mat = _PAULI_X @ mat
-        if self.z_exp:
-            mat = _PAULI_Z @ mat
-        return mat
+        """The 2 x 2 matrix, shared and read-only."""
+        return _PAULI_WORDS[self.code]
+
+
+def _pauli_word(code: int) -> np.ndarray:
+    mat = np.eye(2, dtype=np.complex128)
+    if code & 1:
+        mat = _PAULI_X @ mat
+    if code >> 1:
+        mat = _PAULI_Z @ mat
+    mat.setflags(write=False)
+    return mat
+
+
+# RecoveryOp.matrix by op code; every entry is exactly 0 or +-1.
+_PAULI_WORDS = tuple(_pauli_word(code) for code in range(4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +267,6 @@ def projective_measure(
     state: StateVector,
     targets: Sequence[str],
     basis: OrthonormalBasis,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[ProjectiveOutcome, ...]:
     """Measure the target qubits in the given orthonormal basis.
 
@@ -266,7 +275,6 @@ def projective_measure(
         targets: labels of the measured qubits; their order fixes which qubit
             carries which bit of the basis row index.
         basis: orthonormal basis of dimension 2^len(targets).
-        tol: numerical budgets; only probability_floor is consulted here.
 
     Returns:
         One ProjectiveOutcome per basis vector, ordered by outcome index.
@@ -292,7 +300,7 @@ def projective_measure(
     outcomes = []
     for m in range(1 << k):
         p = float(probabilities[m])
-        if rest and p >= tol.probability_floor:
+        if rest and p >= DEFAULT_TOL.probability_floor:
             residual = StateVector(components[m] / np.sqrt(p), rest)
         else:
             residual = None

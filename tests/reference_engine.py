@@ -64,7 +64,7 @@ def reference_run_exact(
     channel = build_channel(n)
     alice = bich_alice_basis3(t) if variant == "bich3" else improved_alice_basis(t, n)
     target_conj = t.state("C").amplitudes.conj()
-    alice_outcomes = projective_measure(channel, channel.labels[:n], alice, tol)
+    alice_outcomes = projective_measure(channel, channel.labels[:n], alice)
     helper_dim = 1 << (n - 1)
     branches: list[BranchRecord] = []
     p_strict = 0.0
@@ -176,7 +176,6 @@ def collapse_after_alice(
 def bob_branches(
     L: StateVector,
     bob_bases: Sequence[OrthonormalBasis],
-    tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[tuple[tuple[int, ...], float, StateVector | None], ...]:
     """Enumerate every helper measurement branch of a post-sender state.
 
@@ -203,7 +202,7 @@ def bob_branches(
                 extended.append((bits + (0,), 0.0, None))
                 extended.append((bits + (1,), 0.0, None))
                 continue
-            for out in projective_measure(state, (label,), basis, tol):
+            for out in projective_measure(state, (label,), basis):
                 extended.append(
                     (bits + (out.outcome_index,), prob * out.probability, out.residual_state)
                 )

@@ -178,6 +178,25 @@ class TestSimulate:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("flags, doc", [
+        (["--phi", "nan"], None),
+        (["--theta", "inf"], None),
+        (["--a", "nan", "--b", "0.8"], None),
+        (["--shares", "nan,1"], None),
+        ([], '{"target": {"phi": NaN}}'),
+        ([], '{"shares": [Infinity, 1]}'),
+        ([], '{"tolerances": {"success": NaN}}'),
+    ])
+    def test_non_finite_inputs_exit_one_before_rendering(self, capsys, tmp_path, flags, doc):
+        if doc is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(doc)
+            flags = ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, ["simulate", *flags, "--format", "json"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as info:
             main(["simulate", "--bogus"])

@@ -1,14 +1,34 @@
-"""Property tests over targets (poles included), phases, shares and party count."""
+"""Property tests over targets (poles included), phases, shares and party count.
+
+The last group checks the simulate json report against json.dumps of the
+documented schema on reports with drawn columns.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jrsp import RULES, TargetState, generic_shares, oracle_branches, run_exact, split_phase
+from jrsp import (
+    RULES,
+    RecoveryOp,
+    TargetState,
+    generic_shares,
+    oracle_branches,
+    run_exact,
+    run_sampled,
+    split_phase,
+)
+from jrsp.cli import _jnum, _report_doc, _write_report_json
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,3 +103,129 @@ def test_improved_derived_is_strict_on_every_live_branch(run):
     report = run_exact("improved", t, shares, "derived")
     assert report.strict.all()
     assert abs(report.p_strict - 1.0) <= 1e-12
+
+
+# Floats whose printed form is easy to get wrong: signed zeros, subnormals,
+# the extremes, and values whose 12-digit rounding switches repr between
+# fixed and exponent notation.
+awkward_floats = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308,
+    1e16, 9999999999999998.0, 1e-05, 9.99999999999999e-05, 0.0001, 123456789012.5,
+    -123456789012.5, 0.1, 1.0 / 3.0, 2.0 ** -53, 1.0,
+])
+finite_floats = st.one_of(awkward_floats, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def column(draw, size: int) -> np.ndarray:
+    """A float column filled from a small drawn palette, so bit patterns repeat.
+
+    Half the palettes hold both zeros, which print differently but compare
+    equal.
+    """
+    palette = draw(st.lists(finite_floats, min_size=1, max_size=5))
+    palette += draw(st.sampled_from([[], [0.0, -0.0]]))
+    picks = draw(st.lists(st.integers(0, len(palette) - 1), min_size=size, max_size=size))
+    return np.array([palette[i] for i in picks])
+
+
+@st.composite
+def drawn_reports(draw):
+    """A real report, at a pole or not, exact or sampled, with drawn columns."""
+    variant = draw(st.sampled_from(["improved", "improved", "bich3"]))
+    n = 3 if variant == "bich3" else draw(st.integers(2, 4))
+    theta = draw(st.sampled_from([0.0, math.pi / 2.0, 0.7]))
+    t = TargetState(math.cos(theta), math.sin(theta), draw(phis))
+    shares = split_phase(t.phi, n - 1, "equal", None)
+    rule = "table1" if variant == "bich3" else "derived"
+    if draw(st.booleans()):
+        report = run_sampled(variant, t, shares, rule, 50, draw(st.integers(0, 2**32)))
+        trials = draw(st.integers(1, 10**6))
+        counts = draw(st.lists(st.integers(0, trials), min_size=report.prob.size,
+                               max_size=report.prob.size))
+        report = replace(report, trials=trials, counts=tuple(counts))
+    else:
+        report = replace(run_exact(variant, t, shares, rule), seed=draw(st.integers(0, 2**64 - 1)))
+    size = report.prob.size
+    flags = st.lists(st.booleans(), min_size=size, max_size=size)
+    return replace(
+        report,
+        prob=draw(column(size)),
+        ops=np.array(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))),
+        fidelity=draw(column(size)),
+        phase=draw(column(size)) + 1j * draw(column(size)),
+        faithful=np.array(draw(flags)),
+        strict=np.array(draw(flags)),
+        p_strict=draw(finite_floats),
+        p_fidelity=draw(finite_floats),
+    )
+
+
+# The one config field the json report reads.
+CONFIG = SimpleNamespace(semantics="strict")
+
+
+def schema_doc(report) -> dict:
+    """The simulate json document as the documented schema spells it."""
+    helpers = report.n - 1
+    if report.mode == "sampled":
+        prob = np.array(report.counts) / report.trials
+    else:
+        prob = report.prob
+    branches = []
+    for pos in range(prob.size):
+        phase = complex(report.phase[pos])
+        branches.append({
+            "l": format(pos >> helpers, f"0{report.n}b"),
+            "m": format(pos & ((1 << helpers) - 1), f"0{helpers}b"),
+            "prob": _jnum(float(prob[pos])),
+            "recovery": RecoveryOp.from_code(report.ops[pos]).label,
+            "fidelity": _jnum(float(report.fidelity[pos])),
+            "strict": bool(report.strict[pos]),
+            "residual_phase": (
+                {"re": _jnum(phase.real), "im": _jnum(phase.imag)}
+                if report.faithful[pos] else None
+            ),
+        })
+    doc = _report_doc(CONFIG, report)
+    doc["branches"] = branches
+    return doc
+
+
+@PROPERTY
+@given(drawn_reports())
+def test_json_report_is_json_dumps_byte_for_byte(report):
+    doc = schema_doc(report)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _write_report_json(CONFIG, report)
+    out = buf.getvalue()
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert json.loads(out) == doc
+
+
+@PROPERTY
+@given(drawn_reports(), st.sampled_from(["prob", "fidelity", "re", "im", "p_strict"]),
+       st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+def test_json_report_refuses_non_finite_numbers(report, where, bad, data):
+    if where == "p_strict":
+        report = replace(report, p_strict=bad)
+    elif where == "prob":
+        # A sampled report prints counts / trials, not the prob column.
+        report = (replace(report, trials=0) if report.mode == "sampled"
+                  else replace(report, prob=np.full(report.prob.size, bad)))
+    else:
+        pos = data.draw(st.integers(0, report.prob.size - 1))
+        fidelity, phase = report.fidelity.copy(), report.phase.copy()
+        faithful = report.faithful.copy()
+        if where == "fidelity":
+            fidelity[pos] = bad
+        else:
+            faithful[pos] = True
+            phase[pos] = complex(bad, 0.0) if where == "re" else complex(0.0, bad)
+        report = replace(report, fidelity=fidelity, phase=phase, faithful=faithful)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            _write_report_json(CONFIG, report)
+    assert buf.getvalue() == ""

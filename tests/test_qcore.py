@@ -82,6 +82,14 @@ class TestRecoveryOp:
         z = np.array([[1, 0], [0, -1]], dtype=complex)
         np.testing.assert_allclose(zx, z @ x)
 
+    def test_matrices_are_shared_and_read_only(self):
+        for code in range(4):
+            mat = RecoveryOp.from_code(code).matrix
+            assert mat is RecoveryOp.from_code(code).matrix
+            assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            RecoveryOp(1, 0).matrix[0, 0] = 1.0
+
     def test_apply_recovery_on_a_ket(self):
         flipped = RecoveryOp(1, 1).matrix @ np.array([1.0, 0.0])
         # ZX|0> = Z|1> = -|1>
