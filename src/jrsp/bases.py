@@ -88,20 +88,15 @@ class TargetState:
         amps = np.array([self.a, self.b * np.exp(1j * self.phi)])
         return StateVector(amps, (label,))
 
-# Sparse row layout of the senders' joint basis in the three-party scheme.
-# Row index is the measurement outcome klm, columns are computational kets
-# over the three sender halves, and every row holds one amplitude-a and one
-# amplitude-b component on a ket and its bitwise complement.
-_BICH_ALICE_ROWS: dict[int, tuple[tuple[int, str], tuple[int, str]]] = {
-    0b000: ((0b000, "a"), (0b111, "b")),
-    0b001: ((0b000, "b"), (0b111, "-a")),
-    0b010: ((0b001, "a"), (0b110, "b")),
-    0b011: ((0b001, "b"), (0b110, "-a")),
-    0b100: ((0b010, "a"), (0b101, "b")),
-    0b101: ((0b010, "b"), (0b101, "-a")),
-    0b110: ((0b011, "a"), (0b100, "b")),
-    0b111: ((0b011, "-b"), (0b100, "a")),
-}
+# The senders' joint basis in the three-party scheme, one row per outcome
+# klm: (ket, coefficient on the ket, coefficient on its bitwise complement)
+# over the three sender halves, each row on its own ket.
+_BICH_ALICE_ROWS: tuple[tuple[int, str, str], ...] = (
+    (0b000, "a", "b"), (0b111, "-a", "b"),
+    (0b001, "a", "b"), (0b110, "-a", "b"),
+    (0b010, "a", "b"), (0b101, "-a", "b"),
+    (0b011, "a", "b"), (0b100, "a", "-b"),
+)
 
 # Corrected receiver lookup for the three-party scheme, keyed by the five
 # broadcast bits klmns.  Two printed entries required repair before the
@@ -127,22 +122,53 @@ _BICH_SELECTOR: dict[int, tuple[int, int]] = {
 }
 
 
-def _coeff(symbol: str, a: float, b: float) -> float:
-    return {"a": a, "b": b, "-a": -a, "-b": -b}[symbol]
+def _sender_pairs(variant: str, t: TargetState, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first sender's basis as complement pairs, checked in O(2^n).
+
+    Row r of the basis is coeffs[r, 0] |kets[r]> + coeffs[r, 1] |~kets[r]>.
+    The rows must sit one per ket, and the 2 x 2 block of the rows on each
+    complementary ket pair must be unitary within DEFAULT_TOL.equality,
+    which is exactly what makes the rows orthonormal; ValueError otherwise.
+    A ket that holds no row leaves a zero row in its block, which fails.
+    """
+    if variant == "bich3":
+        value = {"a": t.a, "b": t.b, "-a": -t.a, "-b": -t.b}
+        kets = np.array([row[0] for row in _BICH_ALICE_ROWS])
+        coeffs = np.array([[value[c] for c in row[1:]] for row in _BICH_ALICE_ROWS])
+    else:
+        if n < 2:
+            raise ValueError(f"the improved scheme needs n >= 2 parties, got {n}")
+        kets = np.arange(1 << n)
+        coeffs = np.where(kets[:, None] >> (n - 1), (t.a, -t.b), (t.a, t.b))
+    coeffs = coeffs.astype(np.complex128)
+    # Block k: the rows on ket k and on ket ~k = 2^n - 1 - k, over (k, ~k).
+    blocks = np.zeros((kets.size, 2, 2), dtype=np.complex128)
+    blocks[kets, 0] = coeffs
+    blocks[:, 1] = blocks[::-1, 0, ::-1]
+    deviation = float(np.abs(np.einsum("kij,klj->kil", blocks, blocks.conj()) - np.eye(2)).max())
+    if deviation > DEFAULT_TOL.equality:
+        raise ValueError(f"{variant} sender rows are not orthonormal complement pairs, "
+                         f"one per ket: deviation {deviation:.3e}")
+    return kets, coeffs
+
+
+def _dense_basis(variant: str, t: TargetState, n: int, tag: str) -> OrthonormalBasis:
+    """The checked complement pairs of the sender basis, as a dense matrix."""
+    kets, coeffs = _sender_pairs(variant, t, n)
+    mat = np.zeros((kets.size, kets.size), dtype=np.complex128)
+    mat[np.arange(kets.size)[:, None], np.stack([kets, kets ^ (kets.size - 1)], 1)] = coeffs
+    return OrthonormalBasis(mat, tag=tag)
 
 
 def bich_alice_basis3(t: TargetState) -> OrthonormalBasis:
     """Joint three-qubit basis measured by the senders in the bich3 scheme.
 
     Each basis vector superposes one computational ket with its bitwise
-    complement, weighted by the amplitudes of the target state, so the
-    measurement transfers the amplitude information in a single shot.
+    complement, weighted by the target amplitudes, so the measurement
+    transfers the amplitude information in one shot.  A dense view of the
+    complement pairs that run_exact reads.
     """
-    mat = np.zeros((8, 8), dtype=np.complex128)
-    for row, entries in _BICH_ALICE_ROWS.items():
-        for col, symbol in entries:
-            mat[row, col] = _coeff(symbol, t.a, t.b)
-    return OrthonormalBasis(mat, tag="bich3-alice")
+    return _dense_basis("bich3", t, 3, "bich3-alice")
 
 
 def bich_bob_basis(r: int, phi_j: float) -> OrthonormalBasis:
@@ -169,19 +195,11 @@ def bich_basis_selector(klm: Sequence[int] | str) -> tuple[int, int]:
 def improved_alice_basis(t: TargetState, n: int) -> OrthonormalBasis:
     """First sender's n-qubit basis in the improved scheme.
 
-    Row l is a|l> + (-1)^{l_1} b|l~> where l~ is the bitwise complement of l
-    and l_1 is the leading bit.  The alternating sign keeps rows on
-    complementary supports orthogonal for every target amplitude pair.
+    Row l is a|l> + (-1)^{l_1} b|l~>, where l~ is the bitwise complement of
+    l and l_1 its leading bit; the sign keeps each complement pair's rows
+    orthogonal for every target.  A dense view of the pairs run_exact reads.
     """
-    if n < 2:
-        raise ValueError(f"the improved scheme needs n >= 2 parties, got {n}")
-    dim = 1 << n
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for l in range(dim):
-        l1 = (l >> (n - 1)) & 1
-        mat[l, l] = t.a
-        mat[l, (~l) & (dim - 1)] = (-1.0) ** l1 * t.b
-    return OrthonormalBasis(mat, tag=f"improved-alice-n{n}")
+    return _dense_basis("improved", t, n, f"improved-alice-n{n}")
 
 
 def improved_bob_basis(l_j: int, phi_j: float) -> OrthonormalBasis:

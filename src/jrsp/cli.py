@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .bases import RULES, TargetState
-from .protocol import VARIANTS, ProtocolReport, run_exact, run_sampled, split_phase
+from .protocol import VARIANTS, ProtocolReport, _check_party_count, run_exact, run_sampled, split_phase
 from .qcore import DEFAULT_TOL, RecoveryOp, Tolerances
 from .verify import SEMANTICS, check_bases, compare_rules, detect_errata, oracle_branches, success_probability
 
@@ -255,8 +255,7 @@ def _resolve_config(args: argparse.Namespace, keys: frozenset[str]) -> RunConfig
             )
     else:
         n = n_given if n_given is not None else _DEF["n"]
-        if n < 2:
-            raise ValueError(f"need at least 2 parties, got n={n}")
+        _check_party_count(n)
         shares_mode = _enum(
             _pick(args.shares_mode, filed.get("shares_mode"), _DEF["shares_mode"]),
             _SHARE_MODES, "shares mode",

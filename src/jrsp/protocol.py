@@ -4,14 +4,15 @@ An exact run computes every branch of the protocol at once, as columns over
 the transcripts: the first sender's measurement of the A qubits in the
 amplitude-encoding basis, each helper's phase-basis measurement, the
 selected recovery rule at the receiver, and the grade of each branch against
-the target state.  Because every sender-basis row lives on one ket and its
-bitwise complement, the state after the sender measures has two amplitudes
-per outcome, so the dense 2^(2n) channel is never built.  The step-by-step
-dense cascade (:func:`build_channel`, then ``projective_measure`` on the
-sender and on each helper in turn) lives in tests/reference_engine.py,
-where the columns are checked against it bit for bit.  Sampled runs draw
-transcripts from the same law using counter-based per-trial random streams,
-so a given seed reproduces identical counts on any machine.
+the target state.  Each sender-basis row is one ket and its bitwise
+complement, so the post-sender state has two amplitudes per outcome, and
+neither the 2^(2n) channel nor a 2^n x 2^n sender matrix is built.  The
+step-by-step dense cascade (:func:`build_channel`, then
+``projective_measure`` on the sender and on each helper in turn) lives in
+tests/reference_engine.py, where the columns are checked against it bit for
+bit.  Sampled runs draw transcripts from the same law using counter-based
+per-trial random streams, so a given seed reproduces identical counts on any
+machine.
 
 Register layout: the channel orders qubits A1..An, B1..B(n-1), C.  Qubit Aj
 is entangled with Bj for j < n and An is entangled with the receiver qubit
@@ -32,15 +33,15 @@ from .bases import (
     RULES,
     RecoveryRule,
     TargetState,
-    bich_alice_basis3,
+    _sender_pairs,
+    bich_alice_basis3,  # not called: perfbench --trace 1 wraps this binding
     bich_basis_selector,
     bich_bob_basis,
-    improved_alice_basis,
+    improved_alice_basis,  # not called: perfbench --trace 1 wraps this binding
     improved_bob_basis,
 )
 from .qcore import (
     DEFAULT_TOL,
-    OrthonormalBasis,
     RecoveryOp,
     StateVector,
     Tolerances,
@@ -174,8 +175,8 @@ class ProtocolReport:
         return self._record((bits_to_index(l_bits) << (self.n - 1)) | bits_to_index(m_bits))
 
 
-# Largest party count accepted: the sender basis is a dense 2^n x 2^n
-# matrix whose orthonormality check costs O(8^n).
+# Largest party count accepted: a run keeps its 2^(2n-1) branches as columns
+# of ~100 bytes a branch, 0.8 GiB at n = 12 and 3.1 GiB at n = 13.
 _MAX_PARTIES = 12
 
 
@@ -284,12 +285,6 @@ def _resolve_rule(rule: str | RecoveryRule) -> RecoveryRule:
         raise ValueError(
             f"unknown rule {rule!r}, expected one of {sorted(RULES)}"
         ) from None
-
-
-def _alice_basis(variant: str, t: TargetState, n: int) -> OrthonormalBasis:
-    if variant == "bich3":
-        return bich_alice_basis3(t)
-    return improved_alice_basis(t, n)
 
 
 def _helper_matrices(variant: str, shares: tuple[float, ...]) -> np.ndarray:
@@ -415,40 +410,38 @@ def run_exact(
         sender outcome then helper bits, and the exact strict and fidelity
         success probabilities.
 
-    The helper cascade is evaluated per sender outcome as one projective
-    measurement in the tensor product of the helper bases, which by
-    associativity of the projections equals measuring the helpers one after
-    another, branch for branch.  Every stage works on arrays over all sender
-    outcomes or all branches at once; the dense 2^(2n) channel is never
-    built.  The results are bitwise those of the dense reference cascade in
-    tests/reference_engine.py, which measures the channel of
-    :func:`build_channel` with ``projective_measure`` and the full helper
-    Kronecker basis.
+    The sender basis is read as complement pairs checked in O(2^n), and the
+    helper cascade per sender outcome as one projective measurement in the
+    tensor product of the helper bases, which by associativity of the
+    projections equals measuring the helpers one after another, branch for
+    branch.  Every stage works on arrays over all sender outcomes or all
+    branches at once.  The results are bitwise those of the dense reference
+    cascade in tests/reference_engine.py, which measures the channel of
+    :func:`build_channel` with ``projective_measure``, the dense sender
+    basis and the full helper Kronecker basis.
     """
     shares, n, resolved = _check_run_args(variant, t, shares, rule)
     outcomes, helper_dim = 1 << n, 1 << (n - 1)
-    alice = _alice_basis(variant, t, n)
+    kets, coeffs = _sender_pairs(variant, t, n)
 
     # On the sender's qubits the channel is 2^(-n/2) times the identity, so
-    # the measured components are the scaled conjugate basis rows.
-    comps = alice.matrix.conj() * 2.0 ** (-n / 2.0)
+    # the measured components are the scaled conjugate pair coefficients;
+    # the dense rows' other entries are exact zeros, which add nothing.
+    comps = coeffs.conj() * 2.0 ** (-n / 2.0)
     p_alice = np.einsum("mj,mj->m", comps.conj(), comps).real
-    norm = np.sqrt(p_alice)
+    amps = comps / np.sqrt(p_alice)[:, None]
 
-    # Every sender row lives on one ket and its bitwise complement, so the
-    # post-sender state has two amplitudes, and each helper component is
-    # one product with a column of the joint helper basis.  The dense
-    # product adds exact zeros to that product; + 0.0 does the same to its
-    # zeros, turning -0 into +0.
+    # The post-sender state has those two amplitudes, so each helper
+    # component is one product with a column of the joint helper basis.
+    # The dense product adds exact zeros to that product; + 0.0 does the
+    # same to its zeros, turning -0 into +0.
     rows = np.arange(outcomes)
-    ket = np.argmax(alice.matrix != 0, axis=1)
     mats = _helper_matrices(variant, shares)
     variants = _variant_bits(variant, n)
     comp = np.empty((outcomes, helper_dim, 2), dtype=np.complex128)
-    for kets in (ket, ket ^ (outcomes - 1)):
-        amps = comps[rows, kets] / norm
-        column = _helper_columns(mats, variants, kets >> 1)
-        comp[rows, :, kets & 1] = column.conj() * amps[:, None] + 0.0
+    for side, ket in enumerate((kets, kets ^ (outcomes - 1))):
+        column = _helper_columns(mats, variants, ket >> 1)
+        comp[rows, :, ket & 1] = column.conj() * amps[:, side, None] + 0.0
     comp = comp.reshape(-1, 2)
 
     cond = np.einsum("mj,mj->m", comp.conj(), comp).real

@@ -166,6 +166,33 @@ class TestSimulate:
         if "--seed" in argv:
             assert "--seed" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "table", "compare-rules"])
+    @pytest.mark.parametrize("flags, doc", [
+        (["--n", "3000000"], None),
+        (["--n", "3000000", "--shares-mode", "random"], None),
+        ([], '{"n": 3000000}'),
+        ([], '{"n": 3000000, "shares_mode": "random"}'),
+        (["--n", "13"], None),
+        (["--n", "1"], None),
+    ])
+    def test_party_count_is_bounded_before_the_phase_is_split(
+        self, capsys, monkeypatch, tmp_path, command, flags, doc
+    ):
+        # Splitting the phase for millions of parties takes seconds, and the
+        # random mode redraws for minutes before it gives up.
+        def refuse(*args):
+            raise AssertionError("the phase was split")
+
+        monkeypatch.setattr(cli, "split_phase", refuse)
+        if doc is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(doc)
+            flags = ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, [command, *flags])
+        assert code == 1
+        assert out == ""
+        assert "supported party counts are 2 <= n <= 12" in err
+
     @pytest.mark.parametrize("mode", ["exact", "sample"])
     @pytest.mark.parametrize(
         "flags", [["--phi", "nan"], ["--phi", "inf"], ["--shares", "nan,0.5"]]

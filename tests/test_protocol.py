@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import generic_run_args
-from reference_engine import bob_branches, collapse_after_alice
+from reference_engine import bob_branches, collapse_after_alice, reference_run_exact
+from reference_sampler import reference_run_sampled
 
+import jrsp.bases
 from jrsp import (
+    OrthonormalBasis,
     RecoveryRule,
     TargetState,
     bich_alice_basis3,
@@ -329,6 +332,79 @@ class TestSequentialEquivalence:
                 assert br.probability == pytest.approx(p_alice * p_cond, abs=1e-14)
                 overlap = np.vdot(receiver.amplitudes, br.pre_recovery.amplitudes)
                 assert abs(overlap) ** 2 == pytest.approx(1.0)
+
+
+def _assert_reference_columns(report, ref):
+    """The report's columns are the dense reference's records, bit for bit."""
+    brs = ref.branches
+    want = {
+        "prob": np.array([br.probability for br in brs]),
+        "pre": np.array([br.pre_recovery.amplitudes for br in brs]),
+        "post": np.array([br.post_recovery.amplitudes for br in brs]),
+        "fidelity": np.array([br.fidelity for br in brs]),
+        "phase": np.array([0j if br.residual_phase is None else br.residual_phase
+                           for br in brs]),
+    }
+    for name, column in want.items():
+        assert getattr(report, name).tobytes() == column.tobytes(), name
+    assert report.strict.tolist() == [br.strict_match for br in brs]
+    assert report.ops.tolist() == [br.recovery.code for br in brs]
+
+
+class TestPairedSenderStage:
+    """run_exact reads the sender basis as complement pairs, never densely."""
+
+    @pytest.mark.parametrize(
+        "variant, rule, n",
+        [("bich3", "table1", 3)] + [("improved", "derived", n) for n in range(2, 8)],
+    )
+    def test_no_dense_sender_basis_and_bitwise_reference_columns(
+        self, monkeypatch, variant, rule, n
+    ):
+        rng = np.random.default_rng(40 + n)
+        runs = [generic_run_args(rng, n)]
+        pole_shares = generic_shares(n - 1, rng)
+        runs += [(TargetState(a, b, sum(pole_shares) % TWO_PI), pole_shares)
+                 for a, b in ((1.0, 0.0), (0.0, 1.0))]
+        # The references build the dense sender basis, so they run first.
+        refs = [reference_run_exact(variant, t, shares, rule) for t, shares in runs]
+        sampled_ref = reference_run_sampled(variant, *runs[0], rule, 64, 7)
+        check = OrthonormalBasis.__post_init__
+
+        def two_by_two_only(basis):
+            if np.shape(basis.matrix)[0] > 2:
+                raise AssertionError(f"a {np.shape(basis.matrix)} basis was built")
+            check(basis)
+
+        monkeypatch.setattr(OrthonormalBasis, "__post_init__", two_by_two_only)
+        with pytest.raises(AssertionError):
+            improved_alice_basis(TargetState(0.6, 0.8), 2)
+        for (t, shares), ref in zip(runs, refs):
+            report = run_exact(variant, t, shares, rule)
+            assert (report.p_strict, report.p_fidelity) == (ref.p_strict, ref.p_fidelity)
+            _assert_reference_columns(report, ref)
+            _assert_reference_columns(run_sampled(variant, t, shares, rule, 64, 7), ref)
+        sampled = run_sampled(variant, *runs[0], rule, 64, 7)
+        assert sampled.counts == sampled_ref.counts
+        assert (sampled.p_strict, sampled.p_fidelity) == (
+            sampled_ref.p_strict, sampled_ref.p_fidelity)
+
+    @pytest.mark.parametrize("row, entry, message", [
+        # Row 111 with its sign flipped is no longer orthogonal to row 110.
+        (0b111, (0b100, "a", "b"), r"one per ket: deviation 9\.600e-01"),
+        # Rows 010 and 011 both on ket 001: the pair {001, 110} is not shared
+        # one row per ket, though the two rows are still orthonormal.
+        (0b011, (0b001, "b", "-a"), r"one per ket: deviation 1\.000e\+00"),
+    ])
+    def test_broken_pair_table_is_refused(self, monkeypatch, row, entry, message):
+        rows = list(jrsp.bases._BICH_ALICE_ROWS)
+        rows[row] = entry
+        monkeypatch.setattr(jrsp.bases, "_BICH_ALICE_ROWS", tuple(rows))
+        t = TargetState(0.6, 0.8, 1.1)
+        with pytest.raises(ValueError, match=message):
+            run_exact("bich3", t, (0.55, 0.55), "table1")
+        with pytest.raises(ValueError, match=message):
+            bich_alice_basis3(t)
 
 
 class TestRunSampled:
