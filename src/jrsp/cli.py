@@ -1,25 +1,20 @@
 """Command-line front end.
 
-Five commands, each taking only the options it uses:
+Five commands, each taking only the options it uses; README's command
+table lists each one's options and config keys:
 
-- simulate: run a protocol and print the branch report.  Target options
-  plus --variant --rule --semantics --mode --trials --assert-p --assert-tol
-  --dump-config.
-- table: the three-party recovery listing with an oracle column.  Target
-  options plus --rule.
-- compare-rules: side-by-side rule adjudication.  Target options plus
-  --rules.
-- check-bases: basis health checks over random targets.  --n-min --n-max
-  --samples --seed --fixture --format.
-- errata: the findings report.  --seed --format.
+- simulate: run a protocol and print the branch report.
+- table: the three-party recovery listing with an oracle column.
+- compare-rules: side-by-side rule adjudication.
+- check-bases: basis health checks over random targets.
+- errata: the findings report.
 
-The target options are --config --n --a --b --theta --phi --shares
---shares-mode --seed --format.  Flags are merged over a JSON config file
-given with --config; flags win, and a config key the command does not use
-is rejected.  --dump-config writes back the fully resolved configuration,
-which reproduces the run byte for byte.  Exit codes are 0 for success, 1
-for configuration or usage errors, and 2 when an assertion or verification
-check fails.
+Flags are merged over a JSON config file given with --config; flags win,
+and a config key the command does not use is rejected; every config value
+is checked, even where a flag overrides it.  --dump-config writes back the
+fully resolved configuration, which reproduces the run byte for byte.  Exit
+codes are 0 for success, 1 for configuration or usage errors, and 2 when an
+assertion or verification check fails.
 """
 
 from __future__ import annotations
@@ -46,18 +41,20 @@ _MODES = ("exact", "sample")
 _SHARE_MODES = ("equal", "random")
 _FIXTURES = ("eq25-as-printed",)
 
-_DEF = {
-    "variant": "improved",
-    "n": 3,
-    "a": 0.6,
-    "b": 0.8,
-    "phi": 1.1,
-    "shares_mode": "equal",
-    "semantics": "strict",
-    "mode": "exact",
-    "trials": 100000,
-    "seed": 0,
-    "format": "text",
+# The scalar run options: allowed values (int for an integer), least value
+# and default.  Two defaults hang on other options, and _resolve_config
+# passes them to _option: rule's is the variant's own rule, and explicit
+# shares fix n.
+_OPTIONS = {
+    "variant": (VARIANTS, None, "improved"),
+    "semantics": (SEMANTICS, None, "strict"),
+    "mode": (_MODES, None, "exact"),
+    "format": (_FORMATS, None, "text"),
+    "shares_mode": (_SHARE_MODES, None, "equal"),
+    "rule": (tuple(RULES), None, None),
+    "n": (int, None, 3),
+    "trials": (int, 1, 100000),
+    "seed": (int, 0, 0),
 }
 
 # Config keys each command accepts; compare_rules runs at DEFAULT_TOL, so
@@ -132,13 +129,6 @@ def _load_config(path: str | None) -> dict:
 # not a list of shares, and 2.9 is not the integer 2.  JSON true and false
 # are not numbers either, although Python's bool is an int.
 
-def _json_int(value, key: str) -> int | None:
-    """An integer config value, or None when the key is absent."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    return value
-
-
 def _json_number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"config value {key!r} must be a number, got {value!r}")
@@ -153,18 +143,30 @@ def _json_object(value, key: str) -> dict:
     return value
 
 
-def _pick(flag, file_value, default):
-    if flag is not None:
-        return flag
-    if file_value is not None:
-        return file_value
-    return default
+def _option(key: str, flags: dict, filed: dict, default=None):
+    """Scalar run option key: its flag, else its config-file value, else
+    default when given, else its default in _OPTIONS.
 
-
-def _enum(value, allowed, what: str):
-    if value not in allowed:
-        raise ValueError(f"{what} must be one of {list(allowed)}, got {value!r}")
-    return value
+    The file value is checked against the option's allowed values, or its
+    integer type and least value, even when the flag overrides it; so is
+    the flag.  A JSON null counts as absent.
+    """
+    allowed, least, table_default = _OPTIONS[key]
+    flag, value = flags.get(key), filed.get(key)
+    for given, name in ((value, f"config key {key!r}"), (flag, "--" + key.replace("_", "-"))):
+        if given is None:
+            continue
+        if allowed is not int:
+            if given not in allowed:
+                raise ValueError(f"{name} must be one of {list(allowed)}, got {given!r}")
+        elif isinstance(given, bool) or not isinstance(given, int):
+            raise ValueError(f"{name} must be an integer, got {given!r}")
+        elif least is not None and given < least:
+            raise ValueError(f"{name} must be at least {least}, got {given}")
+    for choice in (flag, value, default):
+        if choice is not None:
+            return choice
+    return table_default
 
 
 def _parse_shares(text: str) -> tuple[float, ...]:
@@ -189,20 +191,10 @@ def _resolve_config(args: argparse.Namespace, keys: frozenset[str]) -> RunConfig
     if unknown:
         raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
     flags = vars(args)
-    variant = _enum(_pick(flags.get("variant"), filed.get("variant"), _DEF["variant"]),
-                    VARIANTS, "variant")
-    semantics = _enum(
-        _pick(flags.get("semantics"), filed.get("semantics"), _DEF["semantics"]),
-        SEMANTICS, "semantics",
-    )
-    mode = _enum(_pick(flags.get("mode"), filed.get("mode"), _DEF["mode"]), _MODES, "mode")
-    fmt = _enum(_pick(args.format, filed.get("format"), _DEF["format"]),
-                _FORMATS, "format")
-    trials = _pick(flags.get("trials"), _json_int(filed.get("trials"), "trials"),
-                   _DEF["trials"])
-    seed = _pick(args.seed, _json_int(filed.get("seed"), "seed"), _DEF["seed"])
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    run = {key: _option(key, flags, filed)
+           for key in ("variant", "semantics", "mode", "format", "trials", "seed")}
+    shares_mode = _option("shares_mode", flags, filed)
+    rule = _option("rule", flags, filed, "table1" if run["variant"] == "bich3" else "derived")
 
     tol_file = _json_object(filed.get("tolerances"), "tolerances")
     unknown = set(tol_file) - {field.name for field in fields(Tolerances)}
@@ -225,62 +217,35 @@ def _resolve_config(args: argparse.Namespace, keys: frozenset[str]) -> RunConfig
     unknown = set(target_file) - {"a", "b", "phi"}
     if unknown:
         raise ValueError(f"unknown target keys: {sorted(unknown)}")
-    phi = float(_pick(args.phi, target_file.get("phi"), _DEF["phi"]))
+    # Flags over the file over the default target.
+    target_values = {"a": 0.6, "b": 0.8, "phi": 1.1} | target_file | {
+        key: flags[key] for key in ("a", "b", "phi") if flags[key] is not None
+    }
     if args.theta is not None:
         if args.a is not None or args.b is not None:
             raise ValueError("give either --theta or --a/--b, not both")
-        target = TargetState.from_theta(args.theta, phi)
+        target = TargetState.from_theta(args.theta, target_values["phi"])
     else:
         if (args.a is None) != (args.b is None):
             raise ValueError("--a and --b must be given together")
-        a = float(_pick(args.a, target_file.get("a"), _DEF["a"]))
-        b = float(_pick(args.b, target_file.get("b"), _DEF["b"]))
-        target = TargetState(a, b, phi)
+        target = TargetState(**target_values)
 
-    shares_flag = _parse_shares(args.shares) if args.shares is not None else None
-    shares_file = filed.get("shares")
-    if shares_file is not None:
-        if not isinstance(shares_file, list):
-            raise ValueError(f"config key 'shares' must be a list, got {shares_file!r}")
-        shares_file = tuple(
-            _json_number(v, f"shares[{i}]") for i, v in enumerate(shares_file)
-        )
-    shares = _pick(shares_flag, shares_file, None)
-    n_given = _pick(args.n, _json_int(filed.get("n"), "n"), None)
+    shares = filed.get("shares")
     if shares is not None:
-        n = len(shares) + 1
-        if n_given is not None and n_given != n:
-            raise ValueError(
-                f"--n {n_given} is inconsistent with {len(shares)} explicit shares"
-            )
-    else:
-        n = n_given if n_given is not None else _DEF["n"]
+        if not isinstance(shares, list):
+            raise ValueError(f"config key 'shares' must be a list, got {shares!r}")
+        shares = tuple(_json_number(v, f"shares[{i}]") for i, v in enumerate(shares))
+    if args.shares is not None:
+        shares = _parse_shares(args.shares)
+    n = _option("n", flags, filed, None if shares is None else len(shares) + 1)
+    if shares is None:
         _check_party_count(n)
-        shares_mode = _enum(
-            _pick(args.shares_mode, filed.get("shares_mode"), _DEF["shares_mode"]),
-            _SHARE_MODES, "shares mode",
-        )
-        shares = split_phase(target.phi, n - 1, shares_mode, np.random.default_rng(seed))
+        shares = split_phase(target.phi, n - 1, shares_mode, np.random.default_rng(run["seed"]))
+    elif n != len(shares) + 1:
+        raise ValueError(f"--n {n} is inconsistent with {len(shares)} explicit shares")
 
-    rule = _pick(flags.get("rule"), filed.get("rule"), None)
-    if rule is None:
-        rule = "table1" if variant == "bich3" else "derived"
-    if not isinstance(rule, str) or rule not in RULES:
-        raise ValueError(f"unknown rule {rule!r}, expected one of {sorted(RULES)}")
-
-    return RunConfig(
-        variant=variant,
-        n=n,
-        target=target,
-        shares=tuple(shares),
-        rule=rule,
-        semantics=semantics,
-        mode=mode,
-        trials=trials,
-        seed=seed,
-        tolerances=tolerances,
-        format=fmt,
-    )
+    return RunConfig(**run, n=n, target=target, shares=tuple(shares), rule=rule,
+                     tolerances=tolerances)
 
 
 def _graded(values: np.ndarray) -> list[tuple[str, str]]:

@@ -214,6 +214,11 @@ def _pauli_word(code: int) -> np.ndarray:
 _PAULI_WORDS = tuple(_pauli_word(code) for code in range(4))
 
 
+def _gram_deviation(mat: np.ndarray) -> float:
+    """max |M M^dagger - I| of a square matrix M: 0 when its rows are orthonormal."""
+    return float(np.abs(mat @ mat.conj().T - np.eye(len(mat))).max())
+
+
 @dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
     """Measurement basis over k qubits: one matrix row per outcome vector.
@@ -233,7 +238,7 @@ class OrthonormalBasis:
         dim = mat.shape[0]
         if dim < 2 or dim & (dim - 1):
             raise ValueError(f"basis dimension must be a power of two >= 2, got {dim}")
-        deviation = float(np.abs(mat @ mat.conj().T - np.eye(dim)).max())
+        deviation = _gram_deviation(mat)
         if deviation > DEFAULT_TOL.equality:
             raise ValueError(
                 f"rows are not orthonormal (tag {self.tag!r}), deviation {deviation:.3e}"

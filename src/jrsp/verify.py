@@ -35,7 +35,7 @@ from .protocol import (
     generic_shares,
     run_exact,
 )
-from .qcore import DEFAULT_TOL, RecoveryOp, StateVector, Tolerances
+from .qcore import DEFAULT_TOL, RecoveryOp, StateVector, Tolerances, _gram_deviation
 
 __all__ = [
     "SEMANTICS",
@@ -229,7 +229,7 @@ def _finding_printed_row() -> ErratumFinding:
     printed = printed_improved_matrix3(t)
     row = printed[0b100]
     norm = float(np.linalg.norm(row))
-    gram_dev = float(np.abs(printed @ printed.conj().T - np.eye(8)).max())
+    gram_dev = _gram_deviation(printed)
     return ErratumFinding(
         id="i",
         location="equation (25)",
@@ -405,9 +405,6 @@ def check_bases(
     phis = rng.uniform(0.0, 2.0 * np.pi, size=samples)
     rows: list[tuple[str, float, bool]] = []
 
-    def gram(mat: np.ndarray) -> float:
-        return float(np.abs(mat @ mat.conj().T - np.eye(len(mat))).max())
-
     def completeness(mat: np.ndarray) -> float:
         return float(np.abs(mat.T @ mat.conj() - np.eye(len(mat))).max())
 
@@ -416,19 +413,19 @@ def check_bases(
         dev = 0.0
         for t in targets:
             mat = improved_alice_basis(t, n).matrix
-            dev = max(dev, gram(mat), completeness(mat))
+            dev = max(dev, _gram_deviation(mat), completeness(mat))
         rows.append((f"improved-alice-n{n}", dev, dev <= budget))
     dev = 0.0
     for t in targets:
         mat = bich_alice_basis3(t).matrix
-        dev = max(dev, gram(mat), completeness(mat))
+        dev = max(dev, _gram_deviation(mat), completeness(mat))
     rows.append(("bich3-alice", dev, dev <= budget))
     unitary_dev = 0.0
     involution_dev = 0.0
     for phi in phis:
         for r in (0, 1):
             mat = bich_bob_basis(r, phi).matrix
-            unitary_dev = max(unitary_dev, gram(mat))
+            unitary_dev = max(unitary_dev, _gram_deviation(mat))
             involution_dev = max(
                 involution_dev, float(np.abs(mat @ mat - np.eye(2)).max())
             )
@@ -437,7 +434,7 @@ def check_bases(
     dev = 0.0
     for phi in phis:
         for l_j in (0, 1):
-            dev = max(dev, gram(improved_bob_basis(l_j, phi).matrix))
+            dev = max(dev, _gram_deviation(improved_bob_basis(l_j, phi).matrix))
     rows.append(("improved-bob-unitary", dev, dev <= budget))
     for fixture in fixtures:
         if fixture != "eq25-as-printed":
@@ -446,7 +443,7 @@ def check_bases(
         for t in targets:
             printed = printed_improved_matrix3(t)
             norms = np.linalg.norm(printed, axis=1)
-            dev = max(dev, float(np.abs(norms - 1.0).max()), gram(printed))
+            dev = max(dev, float(np.abs(norms - 1.0).max()), _gram_deviation(printed))
         rows.append((f"fixture-{fixture}", dev, dev <= budget))
     return rows
 

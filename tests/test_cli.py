@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -368,6 +369,45 @@ class TestConfigFile:
             assert f"'{key}'" in err
         assert not dump.exists()
 
+    @pytest.mark.parametrize(
+        "doc, flags",
+        [
+            ({"variant": "x"}, ["--variant", "improved"]),
+            ({"mode": "samples"}, ["--mode", "exact"]),
+            ({"format": "yaml"}, ["--format", "text"]),
+            ({"semantics": 1}, ["--semantics", "strict"]),
+            ({"rule": 5}, ["--rule", "derived"]),
+            ({"shares_mode": "rand"}, ["--shares", "0.55,0.55", "--phi", "1.1"]),
+        ],
+    )
+    def test_invalid_values_exit_one_even_when_a_flag_overrides_them(
+        self, capsys, tmp_path, doc, flags
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg), *flags])
+        assert code == 1
+        assert out == ""
+        assert f"'{next(iter(doc))}'" in err
+
+    @pytest.mark.parametrize(
+        "flags, doc",
+        [(["--trials", "0"], None), (["--trials", "-5"], None), ([], {"trials": 0})],
+    )
+    def test_trial_counts_below_one_exit_one_in_exact_mode(self, capsys, tmp_path, flags, doc):
+        if doc is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(doc))
+            flags = ["--config", str(cfg)]
+        dump = tmp_path / "dump.json"
+        code, out, err = run_cli(
+            capsys, ["simulate", *flags, "--mode", "exact", "--dump-config", str(dump)]
+        )
+        assert code == 1
+        assert out == ""
+        assert "trials" in err and "at least 1" in err
+        assert not dump.exists()
+
     def test_unknown_keys_are_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"varint": "improved"}))
@@ -664,10 +704,13 @@ def test_parser_exposes_all_commands():
         assert command in text
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_commands() -> dict[str, tuple[set[str], set[str]]]:
     """Command name to the (options, config keys) README's command table
     lists for it, with "target options" spelled out."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     readme = readme[readme.index("## Command line"):readme.index("### simulate")]
     target = set(re.search(r"\*target options\* `([^`]*)`", readme).group(1).split())
     rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \| (.*) \|$", readme, re.M)
@@ -702,6 +745,42 @@ def test_readme_command_table_matches_the_parser():
         }
         assert options == parsed, name
         assert keys == set(config_keys[name]), name
+
+
+def _readme_sh_blocks() -> list[list[str]]:
+    """The lines of each ```sh block in README, read as Markdown reads them:
+    only a plain ``` line closes a fence."""
+    blocks, fence = [], None
+    for line in README.read_text().splitlines():
+        if fence is None:
+            if line.startswith("```"):
+                fence, lines = line, []
+        elif line == "```":
+            if fence == "```sh":
+                blocks.append(lines)
+            fence = None
+        else:
+            lines.append(line)
+    return blocks
+
+
+def test_readme_sh_fences_close_plainly():
+    # A second ```sh before the closing fence is printed as code.
+    for lines in _readme_sh_blocks():
+        assert not [line for line in lines if line.startswith("```")], lines
+
+
+@pytest.mark.parametrize("line", [
+    line for block in _readme_sh_blocks() for line in block if line.startswith("jrsp ")
+])
+def test_readme_examples_run(capsys, line):
+    command, _, comment = line.partition("#")
+    argv = shlex.split(command)[1:]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == (2 if "--fixture eq25-as-printed" in command else 0)
+    if argv[0] == "table":
+        stated = re.search(r"(\d+/32) match", comment).group(1)
+        assert f"matches: {stated}\n" in out
 
 
 def test_module_entry_point_runs():
