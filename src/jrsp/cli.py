@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,20 +41,21 @@ _MODES = ("exact", "sample")
 _SHARE_MODES = ("equal", "random")
 _FIXTURES = ("eq25-as-printed",)
 
-# The scalar run options: allowed values (int for an integer), least value
-# and default.  Two defaults hang on other options, and _resolve_config
-# passes them to _option: rule's is the variant's own rule, and explicit
-# shares fix n.
+# The scalar run options: allowed values (int for an integer), least and
+# greatest value, and default.  A seed is one unsigned 64-bit word, the key
+# of sample mode's generator.  Two defaults hang on other options, and
+# _resolve_config passes them to _option: rule's is the variant's own rule,
+# and explicit shares fix n.
 _OPTIONS = {
-    "variant": (VARIANTS, None, "improved"),
-    "semantics": (SEMANTICS, None, "strict"),
-    "mode": (_MODES, None, "exact"),
-    "format": (_FORMATS, None, "text"),
-    "shares_mode": (_SHARE_MODES, None, "equal"),
-    "rule": (tuple(RULES), None, None),
-    "n": (int, None, 3),
-    "trials": (int, 1, 100000),
-    "seed": (int, 0, 0),
+    "variant": (VARIANTS, None, None, "improved"),
+    "semantics": (SEMANTICS, None, None, "strict"),
+    "mode": (_MODES, None, None, "exact"),
+    "format": (_FORMATS, None, None, "text"),
+    "shares_mode": (_SHARE_MODES, None, None, "equal"),
+    "rule": (tuple(RULES), None, None, None),
+    "n": (int, None, None, 3),
+    "trials": (int, 1, None, 100000),
+    "seed": (int, 0, 2**64 - 1, 0),
 }
 
 # Config keys each command accepts; compare_rules runs at DEFAULT_TOL, so
@@ -148,10 +149,10 @@ def _option(key: str, flags: dict, filed: dict, default=None):
     default when given, else its default in _OPTIONS.
 
     The file value is checked against the option's allowed values, or its
-    integer type and least value, even when the flag overrides it; so is
-    the flag.  A JSON null counts as absent.
+    integer type and bounds, even when the flag overrides it; so is the
+    flag.  A JSON null counts as absent.
     """
-    allowed, least, table_default = _OPTIONS[key]
+    allowed, least, greatest, table_default = _OPTIONS[key]
     flag, value = flags.get(key), filed.get(key)
     for given, name in ((value, f"config key {key!r}"), (flag, "--" + key.replace("_", "-"))):
         if given is None:
@@ -163,6 +164,8 @@ def _option(key: str, flags: dict, filed: dict, default=None):
             raise ValueError(f"{name} must be an integer, got {given!r}")
         elif least is not None and given < least:
             raise ValueError(f"{name} must be at least {least}, got {given}")
+        elif greatest is not None and given > greatest:
+            raise ValueError(f"{name} must be at most {greatest}, got {given}")
     for choice in (flag, value, default):
         if choice is not None:
             return choice
@@ -230,37 +233,24 @@ def _resolve_config(args: argparse.Namespace, keys: frozenset[str]) -> RunConfig
             raise ValueError("--a and --b must be given together")
         target = TargetState(**target_values)
 
-    shares = filed.get("shares")
+    shares, shares_from = filed.get("shares"), "config key 'shares'"
     if shares is not None:
         if not isinstance(shares, list):
             raise ValueError(f"config key 'shares' must be a list, got {shares!r}")
         shares = tuple(_json_number(v, f"shares[{i}]") for i, v in enumerate(shares))
     if args.shares is not None:
-        shares = _parse_shares(args.shares)
+        shares, shares_from = _parse_shares(args.shares), "--shares"
     n = _option("n", flags, filed, None if shares is None else len(shares) + 1)
     if shares is None:
         _check_party_count(n)
         shares = split_phase(target.phi, n - 1, shares_mode, np.random.default_rng(run["seed"]))
     elif n != len(shares) + 1:
-        raise ValueError(f"--n {n} is inconsistent with {len(shares)} explicit shares")
+        n_from = "--n" if args.n is not None else "config key 'n'"
+        raise ValueError(f"{n_from} {n} is inconsistent with the {len(shares)} shares "
+                         f"of {shares_from}")
 
     return RunConfig(**run, n=n, target=target, shares=tuple(shares), rule=rule,
                      tolerances=tolerances)
-
-
-def _graded(values: np.ndarray) -> list[tuple[str, str]]:
-    """(repr(x), _g(x)) for x = _jnum(v), for every entry of a float column.
-
-    repr(x) is how json.dumps prints a finite float, and _g(x) is the text
-    and csv form.  Each distinct bit pattern is rounded and printed once;
-    keying on the bits, not on the value, keeps -0.0 apart from 0.0.
-    """
-    keys, inverse = np.unique(
-        np.ascontiguousarray(values, dtype=np.float64).view(np.uint64),
-        return_inverse=True,
-    )
-    graded = [(repr(x), _g(x)) for x in map(_jnum, keys.view(np.float64).tolist())]
-    return [graded[i] for i in inverse.ravel().tolist()]
 
 
 def _printed_prob(report: ProtocolReport) -> np.ndarray:
@@ -270,29 +260,78 @@ def _printed_prob(report: ProtocolReport) -> np.ndarray:
     return report.prob
 
 
-def _branch_rows(report: ProtocolReport) -> list[tuple]:
-    """One report-grade row per branch, read off the report's columns.
+# Rows the branch table is assembled in at a time: a bounded buffer, not a
+# whole-table matrix, so a large report adds little to peak memory.
+_CHUNK_ROWS = 1024
 
-    A row is (l, m, prob, recovery, fidelity, strict, phase_re, phase_im);
-    every number is rounded to 12 digits and given as its (json, text) pair
-    from _graded, and the phase parts are None off faithful branches.
-    Every format renders these rows, so all three carry the same numbers.
+
+def _float_cells(values: np.ndarray, cell, faithful: np.ndarray | None = None,
+                 absent: str = "") -> tuple[list[str], np.ndarray]:
+    """A float column as (cells, index): cell(x) for x = _jnum(v), and each row's cell.
+
+    Each distinct bit pattern is rounded and printed once; keying on the
+    bits, not on the value, keeps -0.0 apart from 0.0.  Rows off faithful,
+    when given, take the absent cell instead.
     """
+    keys, index = np.unique(
+        np.ascontiguousarray(values, dtype=np.float64).view(np.uint64),
+        return_inverse=True,
+    )
+    cells = [cell(x) for x in map(_jnum, keys.view(np.float64).tolist())]
+    index = index.ravel()
+    if faithful is not None:
+        index = np.where(faithful, index, len(cells))
+        cells.append(absent)
+    return cells, index
+
+
+def _label_cells(report: ProtocolReport, l_width: int = 0,
+                 m_width: int = 0) -> tuple[tuple, tuple]:
+    """The l and m columns as (cells, index) pairs, left-justified to the widths."""
     n, helpers = report.n, report.n - 1
-    l_txt = [format(l, f"0{n}b") for l in range(1 << n)]
-    m_txt = [format(m, f"0{helpers}b") for m in range(1 << helpers)]
-    labels = [RecoveryOp.from_code(code).label for code in range(4)]
-    rows = []
-    for pos, (p, op, fid, strict, faithful, re, im) in enumerate(zip(
-        _graded(_printed_prob(report)), report.ops.tolist(),
-        _graded(report.fidelity), report.strict.tolist(), report.faithful.tolist(),
-        _graded(report.phase.real), _graded(report.phase.imag),
-    )):
-        rows.append((
-            l_txt[pos >> helpers], m_txt[pos & ((1 << helpers) - 1)], p, labels[op],
-            fid, strict, re if faithful else None, im if faithful else None,
-        ))
-    return rows
+    pos = np.arange(report.prob.size)
+    return (
+        ([format(l, f"0{n}b").ljust(l_width) for l in range(1 << n)], pos >> helpers),
+        ([format(m, f"0{helpers}b").ljust(m_width) for m in range(1 << helpers)],
+         pos & ((1 << helpers) - 1)),
+    )
+
+
+def _op_cells(report: ProtocolReport, width: int = 0) -> tuple[list[str], np.ndarray]:
+    return [RecoveryOp.from_code(code).label.ljust(width) for code in range(4)], report.ops
+
+
+def _flag_cells(flags: np.ndarray, no: str, yes: str) -> tuple[list[str], np.ndarray]:
+    return [no, yes], flags.astype(np.intp)
+
+
+def _table_rows(rows: int, pieces: Sequence) -> Iterator[str]:
+    """The branch table's rows as text, _CHUNK_ROWS rows to a string.
+
+    A row is its pieces in order.  A piece is a constant string, or a pair
+    (cells, index) of distinct cell strings and each row's index into them.
+    Every piece becomes a table of its cells as NUL-padded bytes, and a
+    chunk's rows are those tables looked up by row and laid side by side in
+    a (rows, width) byte matrix; dropping the NULs, which no cell holds,
+    leaves the rows.
+    """
+    columns, width = [], 0
+    for piece in pieces:
+        cells, index = ([piece], None) if isinstance(piece, str) else piece
+        table = np.array(cells, dtype="S")
+        table = table.view(np.uint8).reshape(table.size, table.itemsize)
+        columns.append((slice(width, width + table.shape[1]), table, index))
+        width += table.shape[1]
+    block = np.empty((min(rows, _CHUNK_ROWS), width), np.uint8)
+    for span, table, index in columns:
+        if index is None:
+            block[:, span] = table[0]
+    columns = [(span, table, index) for span, table, index in columns if index is not None]
+    for first in range(0, rows, _CHUNK_ROWS):
+        chunk = block[:min(rows - first, _CHUNK_ROWS)]
+        for span, table, index in columns:
+            chunk[:, span] = table.take(index[first:first + len(chunk)], axis=0)
+        yield chunk.tobytes().replace(b"\0", b"").decode()
 
 
 def _target_doc(t: TargetState) -> dict:
@@ -302,15 +341,6 @@ def _target_doc(t: TargetState) -> dict:
 # Stands in for the branches array while json.dumps lays out the rest of
 # the simulate report.
 _BRANCHES = "\0branches\0"
-
-# One branch of the simulate report, laid out as json.dumps(doc, indent=2)
-# lays out a branch dict at that depth; l, m and recovery need no escaping.
-_JSON_ROW = (
-    '    {\n      "l": "%s",\n      "m": "%s",\n      "prob": %s,\n'
-    '      "recovery": "%s",\n      "fidelity": %s,\n      "strict": %s,\n'
-    '      "residual_phase": %s\n    }'
-)
-_JSON_PHASE = '{\n        "re": %s,\n        "im": %s\n      }'
 
 
 def _report_doc(config: RunConfig, report: ProtocolReport) -> dict:
@@ -334,29 +364,48 @@ def _report_doc(config: RunConfig, report: ProtocolReport) -> dict:
 def _write_report_json(config: RunConfig, report: ProtocolReport) -> None:
     """Write the simulate json report, the bytes of json.dumps(doc, indent=2).
 
-    The keys around the branches go through json.dumps; the branches are
-    filled into _JSON_ROW from the rows every format shares, which skips
-    the pure-Python encoder that indent selects.  A non-finite value, which
-    json.dumps would print as NaN or Infinity, raises ValueError before
-    anything is written.
+    The keys around the branches go through json.dumps; each branch is laid
+    out as json.dumps lays out a branch dict at that depth (l, m and
+    recovery need no escaping) and written a chunk of rows at a time, which
+    skips the pure-Python encoder that indent selects.  A non-finite value,
+    which json.dumps would print as NaN or Infinity, raises ValueError
+    before anything is written.
     """
     printed = (_printed_prob(report), report.fidelity, report.phase[report.faithful])
     if not all(np.isfinite(column).all() for column in printed):
         raise ValueError("the report holds a non-finite number, which JSON cannot carry")
     head, _, tail = json.dumps(_report_doc(config, report), indent=2,
                                allow_nan=False).partition(json.dumps(_BRANCHES))
-    rows = [
-        _JSON_ROW % (l, m, prob[0], op, fid[0], "true" if strict else "false",
-                     "null" if re is None else _JSON_PHASE % (re[0], im[0]))
-        for l, m, prob, op, fid, strict, re, im in _branch_rows(report)
+    rows = report.prob.size
+    l_cells, m_cells = _label_cells(report)
+    pieces = [
+        '    {\n      "l": "', l_cells, '",\n      "m": "', m_cells,
+        '",\n      "prob": ', _float_cells(_printed_prob(report), repr),
+        ',\n      "recovery": "', _op_cells(report),
+        '",\n      "fidelity": ', _float_cells(report.fidelity, repr),
+        ',\n      "strict": ', _flag_cells(report.strict, "false", "true"),
+        ',\n      "residual_phase": ',
+        # An object on faithful rows, null elsewhere.
+        _float_cells(report.phase.real, '{{\n        "re": {!r}'.format, report.faithful, "null"),
+        _float_cells(report.phase.imag, ',\n        "im": {!r}\n      }}'.format, report.faithful),
+        "\n    }",
+        # Every row but the last is followed by a comma.
+        _flag_cells(np.arange(rows) == rows - 1, ",\n", ""),
     ]
     sys.stdout.write(head + "[\n")
-    sys.stdout.write(",\n".join(rows))
+    for chunk in _table_rows(rows, pieces):
+        sys.stdout.write(chunk)
     sys.stdout.write("\n  ]" + tail + "\n")
 
 
 def _tol_txt(tol: Tolerances) -> str:
     return " ".join(f"{key}={_g(value)}" for key, value in asdict(tol).items())
+
+
+def _signed_imag(x: float) -> str:
+    """The imaginary part of a text-report phase: a sign, its digits and j."""
+    text = _g(x)
+    return f"{'' if text.startswith('-') else '+'}{text}j"
 
 
 def _render_report_text(config: RunConfig, report: ProtocolReport) -> str:
@@ -377,24 +426,24 @@ def _render_report_text(config: RunConfig, report: ProtocolReport) -> str:
     header = f"{'l':<{l_width}}  {'m':<{m_width}}  "
     header += f"{'prob':<16}  {'recovery':<8}  {'fidelity':<16}  {'strict':<6}  residual_phase"
     lines.append(header)
-    for l, m, prob, op, fid, strict, re, im in _branch_rows(report):
-        if re is None:
-            phase_txt = "-"
-        else:
-            sign = "" if im[1].startswith("-") else "+"
-            phase_txt = f"{re[1]}{sign}{im[1]}j"
-        lines.append(
-            f"{l:<{l_width}}  {m:<{m_width}}  {prob[1]:<16}  {op:<8}  {fid[1]:<16}  "
-            f"{'yes' if strict else 'no':<6}  {phase_txt}"
-        )
-    lines += [
+    l_cells, m_cells = _label_cells(report, l_width, m_width)
+    wide = "{:<16.12g}".format  # _g, padded to the column
+    pieces = [
+        l_cells, "  ", m_cells, "  ", _float_cells(_printed_prob(report), wide),
+        "  ", _op_cells(report, 8), "  ", _float_cells(report.fidelity, wide),
+        "  ", _flag_cells(report.strict, "no    ", "yes   "), "  ",
+        _float_cells(report.phase.real, _g, report.faithful, "-"),
+        _float_cells(report.phase.imag, _signed_imag, report.faithful), "\n",
+    ]
+    footer = [
         "",
         f"p_strict: {_g(report.p_strict)}",
         f"p_fidelity: {_g(report.p_fidelity)}",
         f"success_probability[{config.semantics}]: "
         f"{_g(success_probability(report, config.semantics))}",
     ]
-    return "\n".join(lines) + "\n"
+    return "".join(["\n".join(lines) + "\n", *_table_rows(report.prob.size, pieces),
+                    "\n".join(footer) + "\n"])
 
 
 def _render_report_csv(config: RunConfig, report: ProtocolReport) -> str:
@@ -415,14 +464,15 @@ def _render_report_csv(config: RunConfig, report: ProtocolReport) -> str:
         f"# tolerances={_tol_txt(report.tolerances)}",
         "l,m,prob,recovery,fidelity,strict,residual_phase_re,residual_phase_im",
     ]
-    for l, m, prob, op, fid, strict, re, im in _branch_rows(report):
-        re_txt = "" if re is None else re[1]
-        im_txt = "" if im is None else im[1]
-        lines.append(
-            f"{l},{m},{prob[1]},{op},{fid[1]},{'true' if strict else 'false'},"
-            f"{re_txt},{im_txt}"
-        )
-    return "\n".join(lines) + "\n"
+    l_cells, m_cells = _label_cells(report)
+    pieces = [
+        l_cells, ",", m_cells, ",", _float_cells(_printed_prob(report), _g), ",",
+        _op_cells(report), ",", _float_cells(report.fidelity, _g), ",",
+        _flag_cells(report.strict, "false", "true"), ",",
+        _float_cells(report.phase.real, _g, report.faithful), ",",
+        _float_cells(report.phase.imag, _g, report.faithful), "\n",
+    ]
+    return "".join(["\n".join(lines) + "\n", *_table_rows(report.prob.size, pieces)])
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

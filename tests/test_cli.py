@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jrsp import cli, verify
+from jrsp import TargetState, cli, run_exact, split_phase, verify
 from jrsp.cli import build_parser, main
 
 AUDIT_FLAGS = ["--a", "0.6", "--b", "0.8", "--phi", "1.1"]
@@ -408,6 +408,58 @@ class TestConfigFile:
         assert "trials" in err and "at least 1" in err
         assert not dump.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config key"])
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    def test_seeds_above_64_bits_exit_one(self, capsys, tmp_path, source, mode):
+        flags = ["--seed", str(2**64)]
+        if source == "config key":
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"seed": 2**64}))
+            flags = ["--config", str(cfg)]
+        dump = tmp_path / "dump.json"
+        code, out, err = run_cli(capsys, [
+            "simulate", *flags, "--mode", mode, "--trials", "10", "--dump-config", str(dump),
+        ])
+        assert code == 1
+        assert out == ""
+        name = "--seed" if source == "flag" else "config key 'seed'"
+        assert f"{name} must be at most {2**64 - 1}, got {2**64}" in err
+        assert not dump.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config key"])
+    def test_the_greatest_seed_runs_in_sample_mode(self, capsys, tmp_path, source):
+        flags = ["--seed", str(2**64 - 1)]
+        if source == "config key":
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"seed": 2**64 - 1}))
+            flags = ["--config", str(cfg)]
+        code, out, _ = run_cli(
+            capsys, ["simulate", *flags, "--mode", "sample", "--trials", "10", "--format", "json"]
+        )
+        assert code == 0
+        assert json.loads(out)["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize("n_from", ["--n", "config key 'n'"])
+    @pytest.mark.parametrize("shares_from", ["--shares", "config key 'shares'"])
+    def test_inconsistent_party_count_names_where_n_and_shares_came_from(
+        self, capsys, tmp_path, n_from, shares_from
+    ):
+        doc, flags = {"target": {"phi": 1.1}}, []
+        if n_from == "--n":
+            flags += ["--n", "4"]
+        else:
+            doc["n"] = 4
+        if shares_from == "--shares":
+            flags += ["--shares", "0.55,0.55"]
+        else:
+            doc["shares"] = [0.55, 0.55]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg), *flags])
+        assert code == 1
+        assert out == ""
+        assert f"error: {n_from} 4 is inconsistent with the 2 shares of {shares_from}\n" == err
+
     def test_unknown_keys_are_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"varint": "improved"}))
@@ -485,6 +537,27 @@ class TestTable:
         assert rows[("000", "00")] == "a|0> + b e^(i phi)|1>"
         assert rows[("100", "00")] == "a|0> - b e^(i phi)|1>"
         assert rows[("001", "01")] == "a|1> - b e^(i phi)|0>"
+
+    @pytest.mark.parametrize("rule", ["derived", "table2", "paper-step3"])
+    @pytest.mark.parametrize("shares_mode", ["equal", "random"])
+    def test_collapsed_column_is_the_run_state_up_to_a_global_phase(self, rule, shares_mode):
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            theta, phi = rng.uniform(0.05, np.pi / 2.0 - 0.05), rng.uniform(0.0, 2.0 * np.pi)
+            t = TargetState.from_theta(theta, phi)
+            report = run_exact("improved", t, split_phase(phi, 2, shares_mode, rng), rule)
+            assert report.pre.shape == (32, 2)
+            for pos, pre in enumerate(report.pre):
+                l, m = format(pos >> 2, "03b"), format(pos & 3, "02b")
+                found = re.fullmatch(r"a\|([01])> ([+-]) b e\^\(i phi\)\|([01])>",
+                                     cli._collapsed_expression(l, m))
+                keep, sign, flip = found.groups()
+                assert int(flip) == 1 - int(keep)
+                expr = np.zeros(2, complex)
+                expr[int(keep)] = t.a
+                expr[int(flip)] = (1 if sign == "+" else -1) * t.b * np.exp(1j * phi)
+                overlap = abs(np.vdot(expr, pre)) / np.linalg.norm(pre)
+                assert abs(1.0 - overlap) <= 1e-12, (rule, l, m)
 
     def test_bich3_rule_is_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["table", "--rule", "table1"])

@@ -1,7 +1,8 @@
 """Property tests over targets (poles included), phases, shares and party count.
 
-The last group checks the simulate json report against json.dumps of the
-documented schema on reports with drawn columns.
+The last group checks the simulate reports on reports with drawn columns:
+json against json.dumps of the documented schema, text and csv against the
+per-row reference renderer.
 """
 
 from __future__ import annotations
@@ -28,7 +29,15 @@ from jrsp import (
     run_sampled,
     split_phase,
 )
-from jrsp.cli import _jnum, _report_doc, _write_report_json
+from jrsp.cli import (
+    _CHUNK_ROWS,
+    _jnum,
+    _render_report_csv,
+    _render_report_text,
+    _report_doc,
+    _write_report_json,
+)
+from reference_render import reference_render_csv, reference_render_text
 
 TWO_PI = 2.0 * math.pi
 
@@ -223,6 +232,69 @@ def test_json_report_is_json_dumps_byte_for_byte(report):
     out = buf.getvalue()
     assert first_difference(out, json.dumps(doc, indent=2) + "\n") is None
     assert json.loads(out) == doc
+
+
+def reference_differences(report) -> list[str | None]:
+    """first_difference of the text, csv and json reports from their references."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _write_report_json(CONFIG, report)
+    return [
+        first_difference(_render_report_text(CONFIG, report),
+                         reference_render_text(CONFIG, report)),
+        first_difference(_render_report_csv(CONFIG, report),
+                         reference_render_csv(CONFIG, report)),
+        first_difference(buf.getvalue(), json.dumps(schema_doc(report), indent=2) + "\n"),
+    ]
+
+
+@PROPERTY
+@given(drawn_reports())
+def test_reports_match_the_per_row_references(report):
+    assert reference_differences(report) == [None, None, None]
+
+
+def test_reports_print_the_awkward_cells_as_the_reference_does():
+    """Signed zeros, cells wider than the 16-character text column, and rows
+    off faithful, in exact and sampled reports."""
+    t = TargetState(0.6, 0.8, 1.1)
+    shares = split_phase(t.phi, 2, "equal", None)
+    exact = run_exact("improved", t, shares, "derived")
+    sampled = run_sampled("improved", t, shares, "derived", 50, 7)
+    size = exact.prob.size
+    wide = [-0.0, 0.0, 5e-324, -5e-324, -1.7976931348623157e308, -123456789012.5]
+    for report in (exact, replace(sampled, trials=3, counts=tuple(range(size)))):
+        report = replace(
+            report,
+            prob=np.resize(wide[::-1], size),
+            fidelity=np.resize(wide, size),
+            phase=np.resize(wide, size) - 1j * np.resize(wide[1:], size),
+            faithful=np.arange(size) % 3 != 0,
+        )
+        assert max(len(f"{x:.12g}") for x in wide) > 16
+        assert reference_differences(report) == [None, None, None]
+
+
+def test_eight_party_reports_match_the_references_across_chunks():
+    """n = 8 spans several row chunks; the columns vary from row to row and
+    the last row is off faithful, so every chunk and its seams are checked."""
+    shares = generic_shares(7, 8)
+    t = TargetState(math.cos(0.7), math.sin(0.7), sum(shares) % TWO_PI)
+    report = run_exact("improved", t, shares, "derived")
+    size = report.prob.size
+    assert size > 4 * _CHUNK_ROWS
+    rng = np.random.default_rng(8)
+    faithful = rng.random(size) < 0.8
+    faithful[-1] = False
+    report = replace(
+        report,
+        fidelity=np.where(rng.random(size) < 0.5, report.fidelity, rng.random(size)),
+        phase=report.phase * np.exp(1j * rng.normal(0.0, 1e-3, size)),
+        ops=rng.integers(0, 4, size),
+        faithful=faithful,
+        strict=rng.random(size) < 0.5,
+    )
+    assert reference_differences(report) == [None, None, None]
 
 
 @PROPERTY
