@@ -9,10 +9,12 @@ complement, so the post-sender state has two amplitudes per outcome, and
 neither the 2^(2n) channel nor a 2^n x 2^n sender matrix is built.  The
 step-by-step dense cascade (:func:`build_channel`, then
 ``projective_measure`` on the sender and on each helper in turn) lives in
-tests/reference_engine.py, where the columns are checked against it bit for
-bit.  Sampled runs draw transcripts from the same law using counter-based
-per-trial random streams, so a given seed reproduces identical counts on any
-machine.
+tests/reference_engine.py, where prob and pre are checked against it bit
+for bit.  Grading, the recovery Pauli and the overlap with the target, is
+one kernel, :func:`_overlaps`, shared by the engine, the Pauli oracle in
+:mod:`jrsp.verify` and the reference.  Sampled runs draw transcripts from
+the same law using counter-based per-trial random streams, so a given seed
+reproduces identical counts on any machine.
 
 Register layout: the channel orders qubits A1..An, B1..B(n-1), C.  Qubit Aj
 is entangled with Bj for j < n and An is entangled with the receiver qubit
@@ -333,8 +335,40 @@ def _unit_phases(overlaps: np.ndarray, where: np.ndarray) -> np.ndarray:
     return out
 
 
-# The four Pauli words indexed by op code: I, X, Z, ZX.
-_PAULI_OPS = tuple(RecoveryOp.from_code(code) for code in range(4))
+def _overlaps(
+    pre: np.ndarray, codes: np.ndarray | int, target_amps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The grading kernel: each row of pre after its Pauli word, and the
+    overlap of the target with it.
+
+    codes holds one op code (RecoveryOp.code) per row, or is one code for
+    every row.  The word is applied exactly, as the textbook matrix acts:
+    X swaps the two amplitudes, Z negates the second, and + 0.0 turns -0
+    into +0.  The overlap is summed entry by entry, so each row's value
+    depends on that row alone, never on the rows beside it or on the BLAS
+    kernel; the engine, the Pauli oracle and the reference all grade here.
+    """
+    codes = np.asarray(codes)
+    post = np.where((codes & 1).astype(bool)[..., None], pre[:, ::-1], pre)
+    np.negative(post[:, 1], out=post[:, 1], where=(codes >> 1).astype(bool))
+    post += 0.0
+    c0, c1 = target_amps.conj()
+    overlaps = post[:, 0] * c0
+    overlaps += post[:, 1] * c1
+    return post, overlaps
+
+
+def _verdicts(
+    overlaps: np.ndarray, success: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(fidelity, phase, faithful, strict) of each overlap under the success
+    budget; phase is zero off faithful rows."""
+    fidelity = np.abs(overlaps) ** 2
+    faithful = fidelity >= 1.0 - success
+    phase = _unit_phases(overlaps, faithful)
+    gap = np.minimum(_modulus(phase - 1.0), _modulus(phase + 1.0))
+    strict = faithful & (gap <= success)
+    return fidelity, phase, faithful, strict
 
 
 def _rule_codes(
@@ -415,10 +449,11 @@ def run_exact(
     tensor product of the helper bases, which by associativity of the
     projections equals measuring the helpers one after another, branch for
     branch.  Every stage works on arrays over all sender outcomes or all
-    branches at once.  The results are bitwise those of the dense reference
+    branches at once.  prob and pre are bitwise those of the dense reference
     cascade in tests/reference_engine.py, which measures the channel of
     :func:`build_channel` with ``projective_measure``, the dense sender
-    basis and the full helper Kronecker basis.
+    basis and the full helper Kronecker basis.  Each branch is then graded
+    by :func:`_overlaps` and :func:`_verdicts`.
     """
     shares, n, resolved = _check_run_args(variant, t, shares, rule)
     outcomes, helper_dim = 1 << n, 1 << (n - 1)
@@ -450,26 +485,8 @@ def run_exact(
 
     l_idx, m_idx = np.divmod(np.arange(prob.size), helper_dim)
     ops = _rule_codes(resolved, l_idx, m_idx, n)
-    # A one-row product takes numpy's vector path, whose zeros can differ
-    # in sign from the matrix path's, so an op that occurs once among a
-    # sender outcome's branches is applied to that row alone, exactly as a
-    # product per sender outcome and op does it.
-    group = (l_idx << 2) | ops
-    once = np.bincount(group, minlength=4 * outcomes)[group] == 1
-    post = np.empty_like(pre)
-    for code, op in enumerate(_PAULI_OPS):
-        pauli = op.matrix
-        picked = ops == code
-        post[picked & ~once] = pre[picked & ~once] @ pauli.T
-        for i in np.flatnonzero(picked & once):
-            post[i : i + 1] = pre[i : i + 1] @ pauli.T
-
-    overlaps = post @ t.state("C").amplitudes.conj()
-    fidelity = np.abs(overlaps) ** 2
-    faithful = fidelity >= 1.0 - tol.success
-    phase = _unit_phases(overlaps, faithful)
-    gap = np.minimum(_modulus(phase - 1.0), _modulus(phase + 1.0))
-    strict = faithful & (gap <= tol.success)
+    post, overlaps = _overlaps(pre, ops, t.state("C").amplitudes)
+    fidelity, phase, faithful, strict = _verdicts(overlaps, tol.success)
     columns = dict(
         prob=prob, pre=pre, post=post, ops=ops, fidelity=fidelity, phase=phase,
         faithful=faithful, strict=strict,

@@ -3,7 +3,9 @@ basis health checks, and the errata report on the manuscript under audit.
 
 The oracle here is deliberately independent of every recovery rule: it
 exhaustively tries the four Pauli words on each pre-recovery receiver state
-and reports the best achievable fidelity.  A rule is vindicated exactly when
+and reports the best achievable fidelity.  It grades each word with the
+engine's own kernel, so on any branch the oracle's fidelity is at least the
+rule's, bit for bit, whatever the CPU.  A rule is vindicated exactly when
 it matches the oracle branch by branch.  The errata detector replays the
 specific constructions whose printed form is internally inconsistent and
 attaches machine-checkable numbers to each finding; manuscript coordinates
@@ -28,10 +30,10 @@ from .bases import (
     printed_improved_matrix3,
 )
 from .protocol import (
-    _PAULI_OPS,
     ProtocolReport,
     _check_party_count,
-    _unit_phases,
+    _overlaps,
+    _verdicts,
     generic_shares,
     run_exact,
 )
@@ -102,39 +104,30 @@ def success_probability(report: ProtocolReport, semantics: str) -> float:
     raise ValueError(f"unknown semantics {semantics!r}, expected one of {SEMANTICS}")
 
 
-def _pauli_overlaps(rows: np.ndarray, target_amps: np.ndarray) -> np.ndarray:
-    """Complex overlaps of target with each Pauli word applied to each row.
-
-    rows has one state per row; the result has shape (4, len(rows)) in op
-    code order I, X, Z, ZX, which is also the search and tie-break order.
-    The overlap is summed entry by entry rather than by a matrix-vector
-    product, whose one-row case takes numpy's dot path and can differ in the
-    last bit, so a row's overlaps do not depend on the rows beside it.
-    """
-    c0, c1 = target_amps.conj()
-    out = np.empty((4, rows.shape[0]), dtype=np.complex128)
-    for idx, op in enumerate(_PAULI_OPS):
-        moved = rows @ op.matrix.T
-        out[idx] = moved[:, 0] * c0 + moved[:, 1] * c1
-    return out
+# The four Pauli words indexed by op code: I, X, Z, ZX.
+_PAULI_OPS = tuple(RecoveryOp.from_code(code) for code in range(4))
 
 
 def _oracle(
     rows: np.ndarray, t: TargetState, success: float
 ) -> list[tuple[RecoveryOp, float, complex | None]]:
     """The Pauli oracle's (operator, fidelity, residual phase) for each row,
-    with the phase None where the best fidelity misses 1 - success."""
-    overlaps = _pauli_overlaps(rows, t.state().amplitudes)
-    fids = np.abs(overlaps) ** 2
-    best = np.argmax(fids, axis=0)
-    cols = np.arange(rows.shape[0])
-    best_fids = fids[best, cols]
-    faithful = best_fids >= 1.0 - success
-    phases = _unit_phases(overlaps[best, cols], faithful)
+    with the phase None where the best fidelity misses 1 - success.
+
+    Each of the four words goes through the engine's grading kernel, so on
+    the word a rule picks the oracle's fidelity is the engine's bit for bit.
+    Exact ties resolve to the earliest word in op code order I, X, Z, ZX.
+    """
+    amps = t.state().amplitudes
+    overlaps = np.stack([_overlaps(rows, code, amps)[1] for code in range(4)])
+    best = np.argmax(np.abs(overlaps) ** 2, axis=0)
+    fids, phases, faithful, _ = _verdicts(
+        overlaps[best, np.arange(rows.shape[0])], success
+    )
     return [
         (_PAULI_OPS[idx], fid, phase if ok else None)
         for idx, fid, ok, phase in zip(
-            best.tolist(), best_fids.tolist(), faithful.tolist(), phases.tolist()
+            best.tolist(), fids.tolist(), faithful.tolist(), phases.tolist()
         )
     ]
 
@@ -405,20 +398,17 @@ def check_bases(
     phis = rng.uniform(0.0, 2.0 * np.pi, size=samples)
     rows: list[tuple[str, float, bool]] = []
 
-    def completeness(mat: np.ndarray) -> float:
-        return float(np.abs(mat.T @ mat.conj() - np.eye(len(mat))).max())
-
     budget = DEFAULT_TOL.equality
     for n in range(n_min, n_max + 1):
         dev = 0.0
         for t in targets:
             mat = improved_alice_basis(t, n).matrix
-            dev = max(dev, _gram_deviation(mat), completeness(mat))
+            dev = max(dev, _gram_deviation(mat), _gram_deviation(mat.T))
         rows.append((f"improved-alice-n{n}", dev, dev <= budget))
     dev = 0.0
     for t in targets:
         mat = bich_alice_basis3(t).matrix
-        dev = max(dev, _gram_deviation(mat), completeness(mat))
+        dev = max(dev, _gram_deviation(mat), _gram_deviation(mat.T))
     rows.append(("bich3-alice", dev, dev <= budget))
     unitary_dev = 0.0
     involution_dev = 0.0

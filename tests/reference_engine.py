@@ -3,11 +3,16 @@
 ``reference_run_exact`` is the original branch-by-branch ``run_exact``: it
 builds the dense 2^(2n) channel, measures the sender with
 ``projective_measure`` on it, forms the full helper Kronecker basis per
-sender outcome, calls the rule once per transcript and grades every branch
-with scalar arithmetic.  ``collapse_after_alice`` and ``bob_branches`` walk
-the same cascade one measurement at a time.  They are slow and memory
-hungry, but they follow the textbook measurement cascade step by step, so
-the columnar engine in :mod:`jrsp.protocol` is tested against them.
+sender outcome and calls the rule once per transcript.  Its prob and pre
+are its own, and the columnar engine in :mod:`jrsp.protocol` must match
+them bit for bit.  The recovery Pauli and the overlap with the target go
+through the engine's grading kernel ``jrsp.protocol._overlaps``, which
+tests/test_grading.py checks against the textbook matrices; the verdicts
+(fidelity, phase, strict) and the success sums are scalar arithmetic per
+branch.  ``reference_oracle_branches`` grades the four words the same way.
+``collapse_after_alice`` and ``bob_branches`` walk the cascade one
+measurement at a time.  They are slow and memory hungry, but they follow
+the textbook measurement cascade step by step.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 from jrsp import (
     BranchRecord,
     OrthonormalBasis,
+    RecoveryOp,
     RecoveryRule,
     StateVector,
     TargetState,
@@ -31,9 +37,8 @@ from jrsp import (
     improved_alice_basis,
     improved_bob_basis,
 )
-from jrsp.protocol import _PAULI_OPS, ProtocolReport, _check_run_args, build_channel
+from jrsp.protocol import ProtocolReport, _check_run_args, _overlaps, build_channel
 from jrsp.qcore import DEFAULT_TOL, as_bits, bits_to_index, index_to_bits, projective_measure
-from jrsp.verify import _pauli_overlaps
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ def reference_run_exact(
     shares, n, resolved = _check_run_args(variant, t, shares, rule)
     channel = build_channel(n)
     alice = bich_alice_basis3(t) if variant == "bich3" else improved_alice_basis(t, n)
-    target_conj = t.state("C").amplitudes.conj()
+    target_amps = t.state("C").amplitudes
     alice_outcomes = projective_measure(channel, channel.labels[:n], alice)
     helper_dim = 1 << (n - 1)
     branches: list[BranchRecord] = []
@@ -89,11 +94,8 @@ def reference_run_exact(
         live = cond >= tol.probability_floor
         pre_rows = np.zeros_like(components)
         pre_rows[live] = components[live] / np.sqrt(cond[live])[:, None]
-        post_rows = np.empty_like(pre_rows)
-        for distinct in {o.label: o for o in ops}.values():
-            mask = np.array([o.label == distinct.label for o in ops])
-            post_rows[mask] = pre_rows[mask] @ distinct.matrix.T
-        overlaps = post_rows @ target_conj
+        codes = np.array([o.code for o in ops], dtype=np.int8)
+        post_rows, overlaps = _overlaps(pre_rows, codes, target_amps)
         fids = np.abs(overlaps) ** 2
         for mi, (m_bits, op) in enumerate(zip(all_m, ops)):
             prob = float(out.probability * cond[mi])
@@ -134,7 +136,8 @@ def reference_oracle_branches(report: ProtocolReport):
     if not live:
         return tuple(results)
     rows = np.stack([report.branches[i].pre_recovery.amplitudes for i in live])
-    overlaps = _pauli_overlaps(rows, report.target.state().amplitudes)
+    amps = report.target.state().amplitudes
+    overlaps = np.stack([_overlaps(rows, code, amps)[1] for code in range(4)])
     fids = np.abs(overlaps) ** 2
     best = np.argmax(fids, axis=0)
     for col, i in enumerate(live):
@@ -144,7 +147,7 @@ def reference_oracle_branches(report: ProtocolReport):
         if fid >= 1.0 - report.tolerances.success:
             ov = overlaps[idx, col]
             phase = complex(ov / abs(ov))
-        results[i] = (_PAULI_OPS[idx], fid, phase)
+        results[i] = (RecoveryOp.from_code(idx), fid, phase)
     return tuple(results)
 
 
