@@ -27,6 +27,7 @@ from .qcore import (
     OrthonormalBasis,
     RecoveryOp,
     StateVector,
+    _gram_deviation,
     as_bits,
     bits_to_index,
 )
@@ -83,10 +84,13 @@ class TargetState:
             raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
         return cls(a=math.cos(theta), b=math.sin(theta), phi=phi)
 
+    def _amplitudes(self) -> np.ndarray:
+        """The amplitudes (a, b e^{i phi}), already known to be a unit vector."""
+        return np.array([self.a, self.b * np.exp(1j * self.phi)])
+
     def state(self, label: str = "C") -> StateVector:
         """The target as a one-qubit StateVector."""
-        amps = np.array([self.a, self.b * np.exp(1j * self.phi)])
-        return StateVector(amps, (label,))
+        return StateVector(self._amplitudes(), (label,))
 
 # The senders' joint basis in the three-party scheme, one row per outcome
 # klm: (ket, coefficient on the ket, coefficient on its bitwise complement)
@@ -122,6 +126,15 @@ _BICH_SELECTOR: dict[int, tuple[int, int]] = {
 }
 
 
+def _sender_kets(variant: str, n: int) -> np.ndarray:
+    """The ket each row of the first sender's basis sits on, by outcome."""
+    if variant == "bich3":
+        return np.array([row[0] for row in _BICH_ALICE_ROWS])
+    if n < 2:
+        raise ValueError(f"the improved scheme needs n >= 2 parties, got {n}")
+    return np.arange(1 << n)
+
+
 def _sender_pairs(variant: str, t: TargetState, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The first sender's basis as complement pairs, checked in O(2^n).
 
@@ -131,22 +144,21 @@ def _sender_pairs(variant: str, t: TargetState, n: int) -> tuple[np.ndarray, np.
     which is exactly what makes the rows orthonormal; ValueError otherwise.
     A ket that holds no row leaves a zero row in its block, which fails.
     """
+    kets = _sender_kets(variant, n)
     if variant == "bich3":
         value = {"a": t.a, "b": t.b, "-a": -t.a, "-b": -t.b}
-        kets = np.array([row[0] for row in _BICH_ALICE_ROWS])
-        coeffs = np.array([[value[c] for c in row[1:]] for row in _BICH_ALICE_ROWS])
+        coeffs = np.array([[value[c] for c in row[1:]] for row in _BICH_ALICE_ROWS],
+                          dtype=np.complex128)
     else:
-        if n < 2:
-            raise ValueError(f"the improved scheme needs n >= 2 parties, got {n}")
-        kets = np.arange(1 << n)
-        coeffs = np.where(kets[:, None] >> (n - 1), (t.a, -t.b), (t.a, t.b))
-    coeffs = coeffs.astype(np.complex128)
+        # The rows with leading bit l_1 = 1, the second half, carry -b.
+        coeffs = np.array([(t.a, t.b), (t.a, -t.b)], dtype=np.complex128)
+        coeffs = coeffs.repeat(1 << (n - 1), axis=0)
     # Block k: the rows on ket k and on ket ~k = 2^n - 1 - k, over (k, ~k).
     blocks = np.zeros((kets.size, 2, 2), dtype=np.complex128)
     blocks[kets, 0] = coeffs
     blocks[:, 1] = blocks[::-1, 0, ::-1]
-    deviation = float(np.abs(np.einsum("kij,klj->kil", blocks, blocks.conj()) - np.eye(2)).max())
-    if deviation > DEFAULT_TOL.equality:
+    deviation = _gram_deviation(blocks)
+    if not deviation <= DEFAULT_TOL.equality:
         raise ValueError(f"{variant} sender rows are not orthonormal complement pairs, "
                          f"one per ket: deviation {deviation:.3e}")
     return kets, coeffs
@@ -171,19 +183,52 @@ def bich_alice_basis3(t: TargetState) -> OrthonormalBasis:
     return _dense_basis("bich3", t, 3, "bich3-alice")
 
 
+def _helper_stack(variant: str, shares: Sequence[float]) -> np.ndarray:
+    """Both phase bases of every helper, indexed [helper, variant bit, row, column].
+
+    Helper j's bases are built in closed form from its share phi_j, as
+    bich_bob_basis and improved_bob_basis state them, and the whole stack is
+    checked with one batched Gram deviation within DEFAULT_TOL.equality.
+    ValueError on a non-finite share, before any exponential is taken, or
+    on a failed check.
+    """
+    shares = [float(v) for v in shares]
+    if not all(map(math.isfinite, shares)):
+        raise ValueError(f"helper phases must be finite, got {shares}")
+    phi = np.array(shares)
+    stack = np.ones((phi.size, 2, 2, 2), dtype=np.complex128)
+    if variant == "bich3":
+        # Variant bit r: rows (1, e^{-s i phi}) and (e^{s i phi}, -1), s = (-1)^r.
+        phase = np.exp(np.array([1j * 1.0, 1j * -1.0]) * phi[:, None])
+        np.conjugate(phase, out=stack[..., 0, 1])
+        stack[..., 1, 0] = phase
+        stack[..., 1, 1] = -1.0
+    else:
+        # Variant bit l: the column (e^{-i phi}, -e^{-i phi}) at column 1 - l,
+        # ones in column l.
+        column = stack[:, 0, :, 1]
+        column[:, 0] = np.exp(-1j * phi)
+        np.negative(column[:, 0], out=column[:, 1])
+        stack[:, 1, :, 0] = column
+    stack /= math.sqrt(2.0)
+    deviation = _gram_deviation(stack)
+    if not deviation <= DEFAULT_TOL.equality:
+        raise ValueError(f"{variant} helper bases are not orthonormal: "
+                         f"deviation {deviation:.3e}")
+    return stack
+
+
 def bich_bob_basis(r: int, phi_j: float) -> OrthonormalBasis:
     """Phase basis of one helper in the bich3 scheme.
 
     The variant bit r conjugates the phase: the basis is
     (1/sqrt 2) [[1, e^{-s i phi}], [e^{s i phi}, -1]] with s = (-1)^r.
-    Both variants are Hermitian and square to the identity.
+    Both variants are Hermitian and square to the identity.  A view of the
+    helper stack that run_exact reads.
     """
     if r not in (0, 1):
         raise ValueError(f"basis variant must be 0 or 1, got {r!r}")
-    sign = -1.0 if r else 1.0
-    phase = np.exp(1j * sign * float(phi_j))
-    mat = np.array([[1.0, np.conj(phase)], [phase, -1.0]]) / np.sqrt(2.0)
-    return OrthonormalBasis(mat, tag=f"bich3-bob-r{r}")
+    return OrthonormalBasis(_helper_stack("bich3", (phi_j,))[0, r], tag=f"bich3-bob-r{r}")
 
 
 def bich_basis_selector(klm: Sequence[int] | str) -> tuple[int, int]:
@@ -208,16 +253,14 @@ def improved_bob_basis(l_j: int, phi_j: float) -> OrthonormalBasis:
     The sender bit l_j picks which column carries the phase factor:
     variant 0 is (1/sqrt 2) [[1, e^{-i phi}], [1, -e^{-i phi}]] and variant 1
     moves the factor to the first column.  Unlike the bich3 helper bases
-    these are not Hermitian, so they are applied exactly once each.
+    these are not Hermitian, so they are applied exactly once each.  A view
+    of the helper stack that run_exact reads.
     """
     if l_j not in (0, 1):
         raise ValueError(f"basis variant must be 0 or 1, got {l_j!r}")
-    phase = np.exp(-1j * float(phi_j))
-    if l_j == 0:
-        mat = np.array([[1.0, phase], [1.0, -phase]]) / np.sqrt(2.0)
-    else:
-        mat = np.array([[phase, 1.0], [-phase, 1.0]]) / np.sqrt(2.0)
-    return OrthonormalBasis(mat, tag=f"improved-bob-l{l_j}")
+    return OrthonormalBasis(
+        _helper_stack("improved", (phi_j,))[0, l_j], tag=f"improved-bob-l{l_j}"
+    )
 
 
 def printed_improved_matrix3(t: TargetState) -> np.ndarray:
@@ -303,6 +346,8 @@ class RecoveryRule:
     codes maps (sender outcome index l, helper outcome index m, sender bit
     count n) to the op code RecoveryOp.code, elementwise over integer
     arrays; calling the rule evaluates it on one transcript given as bits.
+    run_exact evaluates codes once per party count and reuses the checked
+    result, so codes must depend on its arguments alone.
     variant names the protocol the rule belongs to and requires_n pins the
     party count when the rule is a fixed-size table rather than a formula.
     """

@@ -24,6 +24,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -102,6 +103,11 @@ def _g(x: float) -> str:
 def _jnum(x: float) -> float:
     """Float rounded to the 12 significant digits the reports print."""
     return float(f"{x:.12g}")
+
+
+def _jrepr(x: float) -> str:
+    """A float as the json reports print it: repr of _jnum(x)."""
+    return repr(_jnum(x))
 
 
 def _write(lines: Sequence[str]) -> None:
@@ -267,17 +273,18 @@ _CHUNK_ROWS = 1024
 
 def _float_cells(values: np.ndarray, cell, faithful: np.ndarray | None = None,
                  absent: str = "") -> tuple[list[str], np.ndarray]:
-    """A float column as (cells, index): cell(x) for x = _jnum(v), and each row's cell.
+    """A float column as (cells, index): cell(v) for each distinct value v, and
+    each row's cell.
 
-    Each distinct bit pattern is rounded and printed once; keying on the
-    bits, not on the value, keeps -0.0 apart from 0.0.  Rows off faithful,
-    when given, take the absent cell instead.
+    Each distinct bit pattern is printed once; keying on the bits, not on
+    the value, keeps -0.0 apart from 0.0.  Rows off faithful, when given,
+    take the absent cell instead.
     """
     keys, index = np.unique(
         np.ascontiguousarray(values, dtype=np.float64).view(np.uint64),
         return_inverse=True,
     )
-    cells = [cell(x) for x in map(_jnum, keys.view(np.float64).tolist())]
+    cells = [cell(x) for x in keys.view(np.float64).tolist()]
     index = index.ravel()
     if faithful is not None:
         index = np.where(faithful, index, len(cells))
@@ -380,14 +387,16 @@ def _write_report_json(config: RunConfig, report: ProtocolReport) -> None:
     l_cells, m_cells = _label_cells(report)
     pieces = [
         '    {\n      "l": "', l_cells, '",\n      "m": "', m_cells,
-        '",\n      "prob": ', _float_cells(_printed_prob(report), repr),
+        '",\n      "prob": ', _float_cells(_printed_prob(report), _jrepr),
         ',\n      "recovery": "', _op_cells(report),
-        '",\n      "fidelity": ', _float_cells(report.fidelity, repr),
+        '",\n      "fidelity": ', _float_cells(report.fidelity, _jrepr),
         ',\n      "strict": ', _flag_cells(report.strict, "false", "true"),
         ',\n      "residual_phase": ',
         # An object on faithful rows, null elsewhere.
-        _float_cells(report.phase.real, '{{\n        "re": {!r}'.format, report.faithful, "null"),
-        _float_cells(report.phase.imag, ',\n        "im": {!r}\n      }}'.format, report.faithful),
+        _float_cells(report.phase.real, lambda x: f'{{\n        "re": {_jrepr(x)}',
+                     report.faithful, "null"),
+        _float_cells(report.phase.imag, lambda x: f',\n        "im": {_jrepr(x)}\n      }}',
+                     report.faithful),
         "\n    }",
         # Every row but the last is followed by a comma.
         _flag_cells(np.arange(rows) == rows - 1, ",\n", ""),
@@ -781,10 +790,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The parser main reads with, built once per process; parsing leaves it
+    unchanged."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -6,8 +6,10 @@ amplitude-encoding basis, each helper's phase-basis measurement, the
 selected recovery rule at the receiver, and the grade of each branch against
 the target state.  Each sender-basis row is one ket and its bitwise
 complement, so the post-sender state has two amplitudes per outcome, and
-neither the 2^(2n) channel nor a 2^n x 2^n sender matrix is built.  The
-step-by-step dense cascade (:func:`build_channel`, then
+neither the 2^(2n) channel nor a 2^n x 2^n sender matrix is built.  Every
+helper basis of a run comes from one checked stack,
+``bases._helper_stack``, of which the public helper-basis constructors are
+views.  The step-by-step dense cascade (:func:`build_channel`, then
 ``projective_measure`` on the sender and on each helper in turn) lives in
 tests/reference_engine.py, where prob and pre are checked against it bit
 for bit.  Grading, the recovery Pauli and the overlap with the target, is
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -35,12 +37,14 @@ from .bases import (
     RULES,
     RecoveryRule,
     TargetState,
+    _helper_stack,
+    _sender_kets,
     _sender_pairs,
     bich_alice_basis3,  # not called: perfbench --trace 1 wraps this binding
     bich_basis_selector,
-    bich_bob_basis,
+    bich_bob_basis,  # not called: perfbench --trace 1 wraps this binding
     improved_alice_basis,  # not called: perfbench --trace 1 wraps this binding
-    improved_bob_basis,
+    improved_bob_basis,  # not called: perfbench --trace 1 wraps this binding
 )
 from .qcore import (
     DEFAULT_TOL,
@@ -289,36 +293,20 @@ def _resolve_rule(rule: str | RecoveryRule) -> RecoveryRule:
         ) from None
 
 
-def _helper_matrices(variant: str, shares: tuple[float, ...]) -> np.ndarray:
-    """Every helper basis of a run, indexed [helper, variant bit, row, column].
+def _helper_columns(cols: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """The column of each sender outcome's joint helper basis that its
+    post-sender state reads, for every outcome.
 
-    Each of the 2(n - 1) bases is built once, through the constructors bound
-    in this module.
+    cols[j, p] is column p & 1 of helper j's basis with variant bit p >> 1,
+    and picks[j] names the column helper j contributes to each outcome.  The
+    joint basis is the Kronecker product of the helper bases in label order,
+    so its column is the Kronecker product of one column per factor.  The
+    factors are multiplied left to right, as np.kron does, so every entry is
+    bitwise the entry of the full product.
     """
-    make = bich_bob_basis if variant == "bich3" else improved_bob_basis
-    return np.array([[make(bit, share).matrix for bit in (0, 1)] for share in shares])
-
-
-def _variant_bits(variant: str, n: int) -> np.ndarray:
-    """Basis variant bit of each helper for each sender outcome, (2^n, n - 1)."""
-    if variant == "bich3":
-        return np.array([bich_basis_selector(index_to_bits(l, 3)) for l in range(8)])
-    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, 0, -1)) & 1
-
-
-def _helper_columns(mats: np.ndarray, variants: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Column k[l] of sender outcome l's joint helper basis, for every l.
-
-    The joint basis is the Kronecker product of the helper bases in label
-    order, so its column k is the Kronecker product of one column per
-    factor.  The factors are multiplied left to right, as np.kron does, so
-    every entry is bitwise the entry of the full product.
-    """
-    helpers = mats.shape[0]
-    col = mats[0][variants[:, 0], :, (k >> (helpers - 1)) & 1]
-    for j in range(1, helpers):
-        factor = mats[j][variants[:, j], :, (k >> (helpers - 1 - j)) & 1]
-        col = (col[:, :, None] * factor[:, None, :]).reshape(len(k), -1)
+    col = cols[0, picks[0]]
+    for j in range(1, len(picks)):
+        col = (col[:, :, None] * cols[j, picks[j]][:, None, :]).reshape(len(col), -1)
     return col
 
 
@@ -330,32 +318,47 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 
 def _unit_phases(overlaps: np.ndarray, where: np.ndarray) -> np.ndarray:
     """overlaps / |overlaps| where the mask is set and 0 elsewhere."""
-    out = np.zeros_like(overlaps)
+    out = np.zeros(overlaps.shape, dtype=overlaps.dtype)
     np.divide(overlaps, _modulus(overlaps), out=out, where=where)
     return out
 
 
 def _overlaps(
     pre: np.ndarray, codes: np.ndarray | int, target_amps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | None, np.ndarray]:
     """The grading kernel: each row of pre after its Pauli word, and the
     overlap of the target with it.
 
-    codes holds one op code (RecoveryOp.code) per row, or is one code for
-    every row.  The word is applied exactly, as the textbook matrix acts:
-    X swaps the two amplitudes, Z negates the second, and + 0.0 turns -0
-    into +0.  The overlap is summed entry by entry, so each row's value
-    depends on that row alone, never on the rows beside it or on the BLAS
-    kernel; the engine, the Pauli oracle and the reference all grade here.
+    codes holds one op code (RecoveryOp.code) per row, is one code for
+    every row, or is a column of k codes, shape (k, 1), which grades every
+    row under each of the k words at once and gives the overlaps a leading
+    axis of length k.  post is None for such a column, whose one caller,
+    the Pauli oracle, reads only the overlaps.  The word is applied exactly,
+    as the textbook matrix acts: X swaps the two amplitudes, Z negates the
+    second, and + 0.0 turns -0 into +0.  The overlap is summed entry by
+    entry, so each value depends on its own row and word alone, never on
+    the rows beside it or on the BLAS kernel; the engine, the Pauli oracle
+    and the reference all grade here.
     """
+    # A code is x + 2 z: bit 0 asks for X, and Z is asked for by 2 and 3.
     codes = np.asarray(codes)
-    post = np.where((codes & 1).astype(bool)[..., None], pre[:, ::-1], pre)
-    np.negative(post[:, 1], out=post[:, 1], where=(codes >> 1).astype(bool))
-    post += 0.0
+    x, z = codes & 1, codes >= 2
+    p0, p1 = pre[:, 0], pre[:, 1]
+    u, v = np.where(x, p1, p0), np.where(x, p0, p1)
+    np.negative(v, out=v, where=z)
+    u += 0.0
+    v += 0.0
+    post = None
+    if codes.ndim < 2:
+        post = np.empty(u.shape + (2,), dtype=np.complex128)
+        post[..., 0] = u
+        post[..., 1] = v
+    # The overlap conj(c0) u + conj(c1) v, formed in place in u.
     c0, c1 = target_amps.conj()
-    overlaps = post[:, 0] * c0
-    overlaps += post[:, 1] * c1
-    return post, overlaps
+    u *= c0
+    v *= c1
+    u += v
+    return post, u
 
 
 def _verdicts(
@@ -388,6 +391,51 @@ def _rule_codes(
             f"{sorted(set(codes[(codes < 0) | (codes > 3)].tolist()))[:5]}"
         )
     return codes.astype(np.int8)
+
+
+def _shape_tables(variant: str, n: int, rule: RecoveryRule) -> tuple[tuple, np.ndarray]:
+    """The read-only tables every run of one shape reads: (sides, codes).
+
+    A sender outcome's two amplitudes sit on its row's ket and on that ket's
+    complement, one side each.  Side s is (picks, slot): picks[j] is the
+    column of helper j's basis the side reads, 2 r + c for variant bit r
+    and column c, and slot the amplitude of the receiver qubit it fills.
+    codes holds the rule's op code for every branch, checked by _rule_codes.
+    """
+    helpers = n - 1
+    shifts = np.arange(helpers, 0, -1)[:, None]
+    if variant == "bich3":
+        variants = np.array([bich_basis_selector(index_to_bits(l, 3)) for l in range(8)]).T
+    else:
+        # Helper j measures in the variant named by sender bit j.
+        variants = (np.arange(1 << n) >> shifts) & 1
+    kets = _sender_kets(variant, n)
+    sides = []
+    for ket in (kets, kets ^ ((1 << n) - 1)):
+        # The helpers' joint outcome index, big endian, is ket >> 1.
+        sides.append((2 * variants + ((ket >> shifts) & 1), ket & 1))
+    l_idx, m_idx = np.divmod(np.arange(1 << (2 * n - 1)), 1 << helpers)
+    codes = _rule_codes(rule, l_idx, m_idx, n)
+    for table in (*sides[0], *sides[1], codes):
+        table.setflags(write=False)
+    return tuple(sides), codes
+
+
+_cached_tables = lru_cache(maxsize=32)(_shape_tables)
+
+
+def _plan(variant: str, n: int, rule: RecoveryRule) -> tuple[tuple, np.ndarray]:
+    """_shape_tables for a run, kept from the first run of each shape.
+
+    A rule that fails a check of _rule_codes raises on every run and is
+    never kept.  A rule whose codes cannot be hashed cannot key the cache,
+    so its tables are built afresh for each run.
+    """
+    try:
+        hash(rule)
+    except TypeError:
+        return _shape_tables(variant, n, rule)
+    return _cached_tables(variant, n, rule)
 
 
 def _check_run_args(
@@ -444,20 +492,25 @@ def run_exact(
         sender outcome then helper bits, and the exact strict and fidelity
         success probabilities.
 
-    The sender basis is read as complement pairs checked in O(2^n), and the
-    helper cascade per sender outcome as one projective measurement in the
-    tensor product of the helper bases, which by associativity of the
+    The sender basis is read as complement pairs checked in O(2^n), every
+    helper basis comes from one checked stack (bases._helper_stack), and
+    the helper cascade per sender outcome is one projective measurement in
+    the tensor product of the helper bases, which by associativity of the
     projections equals measuring the helpers one after another, branch for
     branch.  Every stage works on arrays over all sender outcomes or all
-    branches at once.  prob and pre are bitwise those of the dense reference
-    cascade in tests/reference_engine.py, which measures the channel of
+    branches at once, and the tables that depend only on (variant, n, rule),
+    which helper-basis column each outcome reads and the op codes, are
+    computed once per shape.  prob and pre are bitwise those of the dense
+    reference cascade in tests/reference_engine.py, which measures the
+    channel of
     :func:`build_channel` with ``projective_measure``, the dense sender
     basis and the full helper Kronecker basis.  Each branch is then graded
     by :func:`_overlaps` and :func:`_verdicts`.
     """
     shares, n, resolved = _check_run_args(variant, t, shares, rule)
-    outcomes, helper_dim = 1 << n, 1 << (n - 1)
-    kets, coeffs = _sender_pairs(variant, t, n)
+    sides, ops = _plan(variant, n, resolved)
+    outcomes = 1 << n
+    _, coeffs = _sender_pairs(variant, t, n)
 
     # On the sender's qubits the channel is 2^(-n/2) times the identity, so
     # the measured components are the scaled conjugate pair coefficients;
@@ -467,25 +520,26 @@ def run_exact(
     amps = comps / np.sqrt(p_alice)[:, None]
 
     # The post-sender state has those two amplitudes, so each helper
-    # component is one product with a column of the joint helper basis.
-    # The dense product adds exact zeros to that product; + 0.0 does the
-    # same to its zeros, turning -0 into +0.
+    # component is one product with a conjugated column of the joint helper
+    # basis.  The dense product adds exact zeros to that product; + 0.0 does
+    # the same to its zeros, turning -0 into +0.  Conjugating the factors
+    # instead of their product changes only the signs of zeros, which the
+    # + 0.0 clears as well.
     rows = np.arange(outcomes)
-    mats = _helper_matrices(variant, shares)
-    variants = _variant_bits(variant, n)
-    comp = np.empty((outcomes, helper_dim, 2), dtype=np.complex128)
-    for side, ket in enumerate((kets, kets ^ (outcomes - 1))):
-        column = _helper_columns(mats, variants, ket >> 1)
-        comp[rows, :, ket & 1] = column.conj() * amps[:, side, None] + 0.0
-    comp = comp.reshape(-1, 2)
+    cols = _helper_stack(variant, shares).conj().swapaxes(-1, -2).reshape(n - 1, 4, 2)
+    pre = np.empty((outcomes, 1 << (n - 1), 2), dtype=np.complex128)
+    for side, (picks, slot) in enumerate(sides):
+        column = _helper_columns(cols, picks)
+        column *= amps[:, side, None]
+        column += 0.0
+        pre[rows, :, slot] = column
+    pre = pre.reshape(-1, 2)
 
-    cond = np.einsum("mj,mj->m", comp.conj(), comp).real
-    prob = np.repeat(p_alice, helper_dim) * cond
-    pre = comp / np.sqrt(cond)[:, None]
+    cond = np.einsum("mj,mj->m", pre.conj(), pre).real
+    prob = (p_alice[:, None] * cond.reshape(outcomes, -1)).reshape(-1)
+    pre /= np.sqrt(cond)[:, None]
 
-    l_idx, m_idx = np.divmod(np.arange(prob.size), helper_dim)
-    ops = _rule_codes(resolved, l_idx, m_idx, n)
-    post, overlaps = _overlaps(pre, ops, t.state("C").amplitudes)
+    post, overlaps = _overlaps(pre, ops, t._amplitudes())
     fidelity, phase, faithful, strict = _verdicts(overlaps, tol.success)
     columns = dict(
         prob=prob, pre=pre, post=post, ops=ops, fidelity=fidelity, phase=phase,

@@ -118,7 +118,8 @@ class StateVector:
                 f"got {amps.shape[0]}"
             )
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > DEFAULT_TOL.equality:
+        # Written so that a NaN norm fails too.
+        if not abs(norm_sq - 1.0) <= DEFAULT_TOL.equality:
             raise ValueError(f"state is not normalised: sum |amp|^2 = {norm_sq!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -215,8 +216,10 @@ _PAULI_WORDS = tuple(_pauli_word(code) for code in range(4))
 
 
 def _gram_deviation(mat: np.ndarray) -> float:
-    """max |M M^dagger - I| of a square matrix M: 0 when its rows are orthonormal."""
-    return float(np.abs(mat @ mat.conj().T - np.eye(len(mat))).max())
+    """max |M M^dagger - I| of a square matrix M, or the largest over a stack
+    of them: 0 when every row set is orthonormal."""
+    gram = mat @ mat.conj().swapaxes(-1, -2)
+    return float(np.abs(gram - np.eye(mat.shape[-1])).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,8 +241,10 @@ class OrthonormalBasis:
         dim = mat.shape[0]
         if dim < 2 or dim & (dim - 1):
             raise ValueError(f"basis dimension must be a power of two >= 2, got {dim}")
+        if not np.isfinite(mat).all():
+            raise ValueError(f"basis entries must be finite (tag {self.tag!r})")
         deviation = _gram_deviation(mat)
-        if deviation > DEFAULT_TOL.equality:
+        if not deviation <= DEFAULT_TOL.equality:
             raise ValueError(
                 f"rows are not orthonormal (tag {self.tag!r}), deviation {deviation:.3e}"
             )

@@ -104,32 +104,30 @@ def success_probability(report: ProtocolReport, semantics: str) -> float:
     raise ValueError(f"unknown semantics {semantics!r}, expected one of {SEMANTICS}")
 
 
-# The four Pauli words indexed by op code: I, X, Z, ZX.
-_PAULI_OPS = tuple(RecoveryOp.from_code(code) for code in range(4))
+# The four Pauli words in op code order I, X, Z, ZX: as the column of codes
+# that grades every row under each word, and as objects.
+_WORDS = np.arange(4)[:, None]
+_PAULI_OPS = np.array([RecoveryOp.from_code(code) for code in range(4)], dtype=object)
 
 
 def _oracle(
     rows: np.ndarray, t: TargetState, success: float
-) -> list[tuple[RecoveryOp, float, complex | None]]:
+) -> tuple[tuple[RecoveryOp, float, complex | None], ...]:
     """The Pauli oracle's (operator, fidelity, residual phase) for each row,
     with the phase None where the best fidelity misses 1 - success.
 
-    Each of the four words goes through the engine's grading kernel, so on
-    the word a rule picks the oracle's fidelity is the engine's bit for bit.
-    Exact ties resolve to the earliest word in op code order I, X, Z, ZX.
+    The four words go through the engine's grading kernel in one call, so
+    on the word a rule picks the oracle's fidelity is the engine's bit for
+    bit.  Exact ties resolve to the earliest word in op code order I, X, Z,
+    ZX.
     """
-    amps = t.state().amplitudes
-    overlaps = np.stack([_overlaps(rows, code, amps)[1] for code in range(4)])
+    overlaps = _overlaps(rows, _WORDS, t._amplitudes())[1]
     best = np.argmax(np.abs(overlaps) ** 2, axis=0)
     fids, phases, faithful, _ = _verdicts(
         overlaps[best, np.arange(rows.shape[0])], success
     )
-    return [
-        (_PAULI_OPS[idx], fid, phase if ok else None)
-        for idx, fid, ok, phase in zip(
-            best.tolist(), fids.tolist(), faithful.tolist(), phases.tolist()
-        )
-    ]
+    phases = np.where(faithful, phases, None)
+    return tuple(zip(_PAULI_OPS[best].tolist(), fids.tolist(), phases.tolist()))
 
 
 def best_pauli(
@@ -156,7 +154,7 @@ def oracle_branches(
     fidelity misses the report's success budget.  Each triple is what
     best_pauli gives on that branch's pre-recovery state.
     """
-    return tuple(_oracle(report.pre, report.target, report.tolerances.success))
+    return _oracle(report.pre, report.target, report.tolerances.success)
 
 
 def compare_rules(

@@ -15,6 +15,7 @@ from jrsp import (
     improved_bob_basis,
     printed_improved_matrix3,
 )
+from jrsp.bases import _helper_stack
 
 TWO_PI = 2.0 * np.pi
 
@@ -160,6 +161,45 @@ class TestHelperBases:
             bich_bob_basis(bad, 0.5)
         with pytest.raises((ValueError, TypeError)):
             improved_bob_basis(bad, 0.5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_phase_is_refused(self, bad):
+        # Refused before np.exp runs, which would warn and return NaNs.
+        for bit in (0, 1):
+            with pytest.raises(ValueError, match="finite"):
+                bich_bob_basis(bit, bad)
+            with pytest.raises(ValueError, match="finite"):
+                improved_bob_basis(bit, bad)
+        for variant in ("bich3", "improved"):
+            with pytest.raises(ValueError, match="finite"):
+                _helper_stack(variant, (0.5, bad))
+
+
+def _textbook_helper(variant: str, bit: int, phi: float) -> np.ndarray:
+    """The helper basis as written in each constructor's docstring."""
+    if variant == "bich3":
+        phase = np.exp(1j * (-1.0 if bit else 1.0) * phi)
+        mat = np.array([[1.0, np.conj(phase)], [phase, -1.0]])
+    else:
+        phase = np.exp(-1j * phi)
+        if bit == 0:
+            mat = np.array([[1.0, phase], [1.0, -phase]])
+        else:
+            mat = np.array([[phase, 1.0], [-phase, 1.0]])
+    return mat / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("variant", ["bich3", "improved"])
+def test_helper_stack_is_the_textbook_matrices_bit_for_bit(variant):
+    shares = (0.0, -0.0, np.pi, -1.3, 40.0)
+    stack = _helper_stack(variant, shares)
+    assert stack.shape == (len(shares), 2, 2, 2)
+    make = bich_bob_basis if variant == "bich3" else improved_bob_basis
+    for j, phi in enumerate(shares):
+        for bit in (0, 1):
+            want = _textbook_helper(variant, bit, phi).tobytes()
+            assert stack[j, bit].tobytes() == want, (phi, bit)
+            assert make(bit, phi).matrix.tobytes() == want, (phi, bit)
 
 
 @pytest.mark.parametrize(

@@ -770,6 +770,17 @@ def test_command_output_bytes_are_pinned(capsys, argv, exit_code, digests, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == digests[fmt]
 
 
+def test_main_reuses_its_parser_without_carrying_state(capsys):
+    # The parser is built once per process; an append option's default must
+    # not grow from one call to the next.
+    argv = ["check-bases", "--fixture", "eq25-as-printed", "--samples", "3"]
+    first = run_cli(capsys, argv)
+    second = run_cli(capsys, argv)
+    assert first == second
+    assert first[1].count("fixture-eq25-as-printed") == 1
+    assert build_parser() is not build_parser()
+
+
 def test_parser_exposes_all_commands():
     parser = build_parser()
     text = parser.format_help()

@@ -72,6 +72,18 @@ def test_kernel_matches_the_textbook_matrices(t):
         assert one_overlap.tobytes() == overlaps[:1].tobytes()
 
 
+@pytest.mark.parametrize("t", _TARGETS, ids=lambda t: f"{t.a:.3f},{t.b:.3f},{t.phi:.2f}")
+def test_one_call_over_the_word_grid_is_four_single_word_calls(t):
+    pre = _rows(np.random.default_rng(7))
+    amps = t.state().amplitudes
+    grid_post, grid_overlaps = _overlaps(pre, np.arange(4)[:, None], amps)
+    assert grid_post is None
+    assert grid_overlaps.shape == (4, len(pre))
+    for code in range(4):
+        _, overlaps = _overlaps(pre, code, amps)
+        assert grid_overlaps[code].tobytes() == overlaps.tobytes()
+
+
 @pytest.mark.parametrize("variant, rule, n", [("bich3", "table1", 3), ("improved", "table2", 3),
                                               ("improved", "derived", 4),
                                               ("improved", "paper-step3", 4)])

@@ -31,6 +31,7 @@ from jrsp import (
 )
 from jrsp.cli import (
     _CHUNK_ROWS,
+    _g,
     _jnum,
     _render_report_csv,
     _render_report_text,
@@ -322,3 +323,21 @@ def test_json_report_refuses_non_finite_numbers(report, where, bad, data):
         with pytest.raises(ValueError):
             _write_report_json(CONFIG, report)
     assert buf.getvalue() == ""
+
+
+# Any double: drawn by value, drawn by bit pattern (which reaches every
+# subnormal, NaN payload and signed zero), and the edges themselves.
+doubles = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     2.225073858507201e-308, 1.7976931348623157e308, 0.1, 1.0 - 2**-53]),
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=2000)
+@given(doubles)
+def test_printing_the_rounded_value_prints_the_same_digits(x):
+    # The text and csv reports print each cell from the raw value; the json
+    # report rounds it first.  Both read the same 12 digits.
+    assert _g(_jnum(x)) == _g(x)

@@ -13,6 +13,7 @@ from reference_sampler import reference_run_sampled
 
 import jrsp.bases
 from jrsp import (
+    RULES,
     OrthonormalBasis,
     RecoveryRule,
     TargetState,
@@ -26,7 +27,7 @@ from jrsp import (
     run_sampled,
     split_phase,
 )
-from jrsp.protocol import build_channel
+from jrsp.protocol import _plan, build_channel
 
 TWO_PI = 2.0 * np.pi
 
@@ -225,6 +226,16 @@ class TestRunExactImproved:
         assert run_exact("improved", t, shares, "paper-step3").p_strict == pytest.approx(0.25)
 
 
+_BAD_CODES = [
+    (lambda l, m, n: np.full(l.shape, 4), "outside 0..3"),
+    (lambda l, m, n: np.full(l.shape, -1), "outside 0..3"),
+    (lambda l, m, n: np.full(l.shape, 256), "outside 0..3"),
+    (lambda l, m, n: 0, "one integer op code per branch"),
+    (lambda l, m, n: np.zeros(l.size + 1, dtype=int), "one integer op code per branch"),
+    (lambda l, m, n: np.zeros(l.shape), "one integer op code per branch"),
+]
+
+
 class TestRunArgumentValidation:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -278,21 +289,71 @@ class TestRunArgumentValidation:
         with pytest.raises(ValueError, match="party count"):
             run_sampled("improved", t, (0.0,) * helpers, "derived", 10, 0)
 
-    @pytest.mark.parametrize(
-        "codes, match",
-        [
-            (lambda l, m, n: np.full(l.shape, 4), "outside 0..3"),
-            (lambda l, m, n: np.full(l.shape, -1), "outside 0..3"),
-            (lambda l, m, n: np.full(l.shape, 256), "outside 0..3"),
-            (lambda l, m, n: 0, "one integer op code per branch"),
-            (lambda l, m, n: np.zeros(l.size + 1, dtype=int), "one integer op code per branch"),
-            (lambda l, m, n: np.zeros(l.shape), "one integer op code per branch"),
-        ],
-    )
+    @pytest.mark.parametrize("codes, match", _BAD_CODES)
     def test_rule_codes_are_checked(self, codes, match):
         rule = RecoveryRule(name="custom", variant="improved", codes=codes)
         with pytest.raises(ValueError, match=f"rule 'custom' .*{match}"):
             run_exact("improved", TargetState(0.6, 0.8, 1.1), (0.55, 0.55), rule)
+
+
+
+
+class TestShapePlans:
+    """The helper variant bits and the op codes are computed once per
+    (variant, n, rule) and shared, read-only, by every run of that shape."""
+
+    @pytest.mark.parametrize("variant, n, rule", [("improved", 4, "derived"),
+                                                  ("bich3", 3, "table1")])
+    def test_plan_tables_are_read_only(self, variant, n, rule):
+        sides, codes = _plan(variant, n, RULES[rule])
+        assert len(sides) == 2
+        assert codes.shape == (1 << (2 * n - 1),)
+        for picks, slot in sides:
+            assert picks.shape == (n - 1, 1 << n)
+            assert slot.shape == (1 << n,)
+        for table in (*sides[0], *sides[1], codes):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
+        shares = (0.3,) * (n - 1)
+        report = run_exact(variant, TargetState(0.6, 0.8, sum(shares)), shares, rule)
+        assert report.ops is codes
+
+    def test_custom_rule_codes_run_once_per_shape(self):
+        calls = []
+
+        def codes(l, m, n):
+            calls.append(n)
+            return RULES["derived"].codes(l, m, n)
+
+        rule = RecoveryRule(name="counted", variant="improved", codes=codes)
+        for n in (2, 3, 2, 3, 3):
+            shares = (0.4,) * (n - 1)
+            t = TargetState(0.6, 0.8, sum(shares))
+            report = run_exact("improved", t, shares, rule)
+            derived = run_exact("improved", t, shares, "derived")
+            assert report.ops.tobytes() == derived.ops.tobytes()
+        assert calls == [2, 3]
+
+    def test_a_rule_whose_codes_cannot_be_hashed_still_runs(self):
+        class Codes:
+            __hash__ = None
+
+            def __call__(self, l, m, n):
+                return RULES["derived"].codes(l, m, n)
+
+        rule = RecoveryRule(name="unhashable", variant="improved", codes=Codes())
+        t = TargetState(0.6, 0.8, 1.1)
+        report = run_exact("improved", t, (0.55, 0.55), rule)
+        derived = run_exact("improved", t, (0.55, 0.55), "derived")
+        assert report.ops.tobytes() == derived.ops.tobytes()
+
+    @pytest.mark.parametrize("codes, match", _BAD_CODES)
+    def test_a_failing_rule_fails_on_every_run(self, codes, match):
+        rule = RecoveryRule(name="custom", variant="improved", codes=codes)
+        for _ in range(3):
+            with pytest.raises(ValueError, match=f"rule 'custom' .*{match}"):
+                run_exact("improved", TargetState(0.6, 0.8, 1.1), (0.55, 0.55), rule)
 
 
 class TestSequentialEquivalence:

@@ -57,6 +57,18 @@ def test_state_vector_rejects_bad_input(amps, labels):
         StateVector(np.asarray(amps, dtype=complex), labels)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_entries_are_refused(bad):
+    # A NaN deviation or norm compares False against any budget, so every
+    # check must be written to fail on it.
+    for amps in ([bad, 0.0], [INV_SQRT2, bad * 1j], [bad, bad]):
+        with pytest.raises(ValueError):
+            StateVector(np.array(amps, dtype=complex), ("A",))
+    for mat in ([[bad, 0.0], [0.0, 1.0]], [[INV_SQRT2, INV_SQRT2], [bad, -INV_SQRT2]]):
+        with pytest.raises(ValueError, match="finite"):
+            OrthonormalBasis(np.array(mat, dtype=complex))
+
+
 class TestRecoveryOp:
     def test_labels(self):
         assert RecoveryOp(0, 0).label == "I"
