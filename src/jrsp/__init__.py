@@ -37,6 +37,7 @@ from .protocol import (
 from .verify import (
     SEMANTICS,
     ErratumFinding,
+    OracleBranches,
     RuleComparison,
     best_pauli,
     compare_rules,
@@ -71,6 +72,7 @@ __all__ = [
     "split_phase",
     "SEMANTICS",
     "ErratumFinding",
+    "OracleBranches",
     "RuleComparison",
     "best_pauli",
     "compare_rules",

@@ -135,14 +135,18 @@ def _sender_kets(variant: str, n: int) -> np.ndarray:
     return np.arange(1 << n)
 
 
-def _sender_pairs(variant: str, t: TargetState, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first sender's basis as complement pairs, checked in O(2^n).
+def _sender_pairs(
+    variant: str, t: TargetState, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first sender's basis as complement pairs, and the blocks that
+    check them: (kets, coeffs, blocks).
 
     Row r of the basis is coeffs[r, 0] |kets[r]> + coeffs[r, 1] |~kets[r]>.
-    The rows must sit one per ket, and the 2 x 2 block of the rows on each
-    complementary ket pair must be unitary within DEFAULT_TOL.equality,
-    which is exactly what makes the rows orthonormal; ValueError otherwise.
-    A ket that holds no row leaves a zero row in its block, which fails.
+    The rows must sit one per ket, and blocks[k], the 2 x 2 block of the
+    rows on ket k and on its complement ~k, must be unitary, which is
+    exactly what makes the rows orthonormal; _check_blocks checks them in
+    O(2^n).  A ket that holds no row leaves a zero row in its block, which
+    fails.
     """
     kets = _sender_kets(variant, n)
     if variant == "bich3":
@@ -157,16 +161,49 @@ def _sender_pairs(variant: str, t: TargetState, n: int) -> tuple[np.ndarray, np.
     blocks = np.zeros((kets.size, 2, 2), dtype=np.complex128)
     blocks[kets, 0] = coeffs
     blocks[:, 1] = blocks[::-1, 0, ::-1]
-    deviation = _gram_deviation(blocks)
-    if not deviation <= DEFAULT_TOL.equality:
-        raise ValueError(f"{variant} sender rows are not orthonormal complement pairs, "
-                         f"one per ket: deviation {deviation:.3e}")
-    return kets, coeffs
+    return kets, coeffs, blocks
+
+
+# What a failed _check_blocks says, by the basis that failed.
+_FAILURES = {
+    "sender": "{} sender rows are not orthonormal complement pairs, one per ket",
+    "helpers": "{} helper bases are not orthonormal",
+}
+
+
+def _check_blocks(variant: str, **parts: np.ndarray) -> None:
+    """Check that every 2 x 2 block of every part is unitary within
+    DEFAULT_TOL.equality, with one batched Gram deviation over all of them.
+
+    parts are the sender blocks of _sender_pairs and the helper stack, by
+    the names in _FAILURES.  ValueError naming the first part that fails,
+    NaN and inf included.
+    """
+    stacked = np.concatenate([mats.reshape(-1, 2, 2) for mats in parts.values()])
+    if _gram_deviation(stacked) <= DEFAULT_TOL.equality:
+        return
+    for part, mats in parts.items():
+        deviation = _gram_deviation(mats)
+        if not deviation <= DEFAULT_TOL.equality:
+            break
+    raise ValueError(f"{_FAILURES[part].format(variant)}: deviation {deviation:.3e}")
+
+
+def _run_bases(
+    variant: str, t: TargetState, shares: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sender's pair coefficients and the helper stack of one run, both
+    checked by one _check_blocks."""
+    _, coeffs, blocks = _sender_pairs(variant, t, len(shares) + 1)
+    stack = _helper_stack(variant, shares)
+    _check_blocks(variant, sender=blocks, helpers=stack)
+    return coeffs, stack
 
 
 def _dense_basis(variant: str, t: TargetState, n: int, tag: str) -> OrthonormalBasis:
     """The checked complement pairs of the sender basis, as a dense matrix."""
-    kets, coeffs = _sender_pairs(variant, t, n)
+    kets, coeffs, blocks = _sender_pairs(variant, t, n)
+    _check_blocks(variant, sender=blocks)
     mat = np.zeros((kets.size, kets.size), dtype=np.complex128)
     mat[np.arange(kets.size)[:, None], np.stack([kets, kets ^ (kets.size - 1)], 1)] = coeffs
     return OrthonormalBasis(mat, tag=tag)
@@ -187,10 +224,9 @@ def _helper_stack(variant: str, shares: Sequence[float]) -> np.ndarray:
     """Both phase bases of every helper, indexed [helper, variant bit, row, column].
 
     Helper j's bases are built in closed form from its share phi_j, as
-    bich_bob_basis and improved_bob_basis state them, and the whole stack is
-    checked with one batched Gram deviation within DEFAULT_TOL.equality.
-    ValueError on a non-finite share, before any exponential is taken, or
-    on a failed check.
+    bich_bob_basis and improved_bob_basis state them.  ValueError on a
+    non-finite share, before any exponential is taken.  _check_blocks checks
+    the stack of a run, and OrthonormalBasis each view.
     """
     shares = [float(v) for v in shares]
     if not all(map(math.isfinite, shares)):
@@ -211,10 +247,6 @@ def _helper_stack(variant: str, shares: Sequence[float]) -> np.ndarray:
         np.negative(column[:, 0], out=column[:, 1])
         stack[:, 1, :, 0] = column
     stack /= math.sqrt(2.0)
-    deviation = _gram_deviation(stack)
-    if not deviation <= DEFAULT_TOL.equality:
-        raise ValueError(f"{variant} helper bases are not orthonormal: "
-                         f"deviation {deviation:.3e}")
     return stack
 
 
@@ -279,11 +311,16 @@ def printed_improved_matrix3(t: TargetState) -> np.ndarray:
 
 
 def _parity(bits, width: int):
-    """Parity of the low width bits of an integer or an integer array."""
-    out = bits & 0
-    for j in range(width):
-        out = out ^ ((bits >> j) & 1)
-    return out
+    """Parity of the low width bits of an integer or an integer array: a
+    popcount for an integer, a lookup in the 2^width parities for an array."""
+    low = bits & ((1 << width) - 1)
+    if not isinstance(bits, np.ndarray):
+        return int(low).bit_count() & 1
+    table = np.zeros(1, dtype=np.int8)
+    for _ in range(width):
+        # The parities of 2^k .. 2^(k+1) - 1 are those of 0 .. 2^k - 1, flipped.
+        table = np.concatenate((table, table ^ 1))
+    return table[low]
 
 
 # Rules as op codes (RecoveryOp.code, x + 2 z) over big-endian outcome

@@ -548,10 +548,11 @@ def cmd_table(args: argparse.Namespace) -> int:
         "improved", config.target, config.shares, config.rule, config.tolerances
     )
     rows = []
-    for pos, (code, best) in enumerate(zip(report.ops.tolist(), oracle_branches(report))):
+    oracle_ops = oracle_branches(report).ops.tolist()
+    for pos, (code, best) in enumerate(zip(report.ops.tolist(), oracle_ops)):
         l, m = format(pos >> 2, "03b"), format(pos & 3, "02b")
         rule_label = RecoveryOp.from_code(code).label
-        oracle_label = best[0].label
+        oracle_label = RecoveryOp.from_code(best).label
         rows.append({
             "l": l,
             "m": m,

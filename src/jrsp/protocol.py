@@ -7,9 +7,10 @@ selected recovery rule at the receiver, and the grade of each branch against
 the target state.  Each sender-basis row is one ket and its bitwise
 complement, so the post-sender state has two amplitudes per outcome, and
 neither the 2^(2n) channel nor a 2^n x 2^n sender matrix is built.  Every
-helper basis of a run comes from one checked stack,
-``bases._helper_stack``, of which the public helper-basis constructors are
-views.  The step-by-step dense cascade (:func:`build_channel`, then
+helper basis of a run comes from one stack, ``bases._helper_stack``, of
+which the public helper-basis constructors are views, and one check,
+``bases._run_bases``, covers the sender pairs and the stack.  The
+step-by-step dense cascade (:func:`build_channel`, then
 ``projective_measure`` on the sender and on each helper in turn) lives in
 tests/reference_engine.py, where prob and pre are checked against it bit
 for bit.  Grading, the recovery Pauli and the overlap with the target, is
@@ -37,9 +38,8 @@ from .bases import (
     RULES,
     RecoveryRule,
     TargetState,
-    _helper_stack,
+    _run_bases,
     _sender_kets,
-    _sender_pairs,
     bich_alice_basis3,  # not called: perfbench --trace 1 wraps this binding
     bich_basis_selector,
     bich_bob_basis,  # not called: perfbench --trace 1 wraps this binding
@@ -369,9 +369,16 @@ def _verdicts(
     fidelity = np.abs(overlaps) ** 2
     faithful = fidelity >= 1.0 - success
     phase = _unit_phases(overlaps, faithful)
-    gap = np.minimum(_modulus(phase - 1.0), _modulus(phase + 1.0))
-    strict = faithful & (gap <= success)
+    strict = faithful & (_sign_gap(phase) <= success)
     return fidelity, phase, faithful, strict
+
+
+def _sign_gap(phase: np.ndarray) -> np.ndarray:
+    """min(|phase - 1|, |phase + 1|), bit for bit, in one hypot.
+
+    The nearer of +1 and -1 has the real part's sign (a zero real part is
+    as far from both), and hypot is monotone in each argument."""
+    return np.hypot(phase.real - np.copysign(1.0, phase.real), phase.imag)
 
 
 def _rule_codes(
@@ -414,7 +421,9 @@ def _shape_tables(variant: str, n: int, rule: RecoveryRule) -> tuple[tuple, np.n
     for ket in (kets, kets ^ ((1 << n) - 1)):
         # The helpers' joint outcome index, big endian, is ket >> 1.
         sides.append((2 * variants + ((ket >> shifts) & 1), ket & 1))
-    l_idx, m_idx = np.divmod(np.arange(1 << (2 * n - 1)), 1 << helpers)
+    # Branch i = (l << helpers) | m, in order.
+    l_idx = np.arange(1 << n).repeat(1 << helpers)
+    m_idx = np.tile(np.arange(1 << helpers), 1 << n)
     codes = _rule_codes(rule, l_idx, m_idx, n)
     for table in (*sides[0], *sides[1], codes):
         table.setflags(write=False)
@@ -492,15 +501,16 @@ def run_exact(
         sender outcome then helper bits, and the exact strict and fidelity
         success probabilities.
 
-    The sender basis is read as complement pairs checked in O(2^n), every
-    helper basis comes from one checked stack (bases._helper_stack), and
-    the helper cascade per sender outcome is one projective measurement in
-    the tensor product of the helper bases, which by associativity of the
-    projections equals measuring the helpers one after another, branch for
-    branch.  Every stage works on arrays over all sender outcomes or all
-    branches at once, and the tables that depend only on (variant, n, rule),
-    which helper-basis column each outcome reads and the op codes, are
-    computed once per shape.  prob and pre are bitwise those of the dense
+    The sender basis is read as complement pairs, every helper basis comes
+    from one stack, both are checked in O(2^n) by one batched Gram
+    deviation (bases._run_bases), and the helper cascade per sender
+    outcome is one projective measurement in the tensor product of the
+    helper bases, which by associativity of the projections equals
+    measuring the helpers one after another, branch for branch.  Every
+    stage works on arrays over all sender outcomes or all branches at once,
+    and the tables that depend only on (variant, n, rule), which
+    helper-basis column each outcome reads and the op codes, are computed
+    once per shape.  prob and pre are bitwise those of the dense
     reference cascade in tests/reference_engine.py, which measures the
     channel of
     :func:`build_channel` with ``projective_measure``, the dense sender
@@ -510,7 +520,7 @@ def run_exact(
     shares, n, resolved = _check_run_args(variant, t, shares, rule)
     sides, ops = _plan(variant, n, resolved)
     outcomes = 1 << n
-    _, coeffs = _sender_pairs(variant, t, n)
+    coeffs, stack = _run_bases(variant, t, shares)
 
     # On the sender's qubits the channel is 2^(-n/2) times the identity, so
     # the measured components are the scaled conjugate pair coefficients;
@@ -526,7 +536,7 @@ def run_exact(
     # instead of their product changes only the signs of zeros, which the
     # + 0.0 clears as well.
     rows = np.arange(outcomes)
-    cols = _helper_stack(variant, shares).conj().swapaxes(-1, -2).reshape(n - 1, 4, 2)
+    cols = stack.conj().swapaxes(-1, -2).reshape(n - 1, 4, 2)
     pre = np.empty((outcomes, 1 << (n - 1), 2), dtype=np.complex128)
     for side, (picks, slot) in enumerate(sides):
         column = _helper_columns(cols, picks)

@@ -15,6 +15,7 @@ at the defective passages.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,7 +34,7 @@ from .protocol import (
     ProtocolReport,
     _check_party_count,
     _overlaps,
-    _verdicts,
+    _unit_phases,
     generic_shares,
     run_exact,
 )
@@ -41,6 +42,7 @@ from .qcore import DEFAULT_TOL, RecoveryOp, StateVector, Tolerances, _gram_devia
 
 __all__ = [
     "SEMANTICS",
+    "OracleBranches",
     "RuleComparison",
     "ErratumFinding",
     "success_probability",
@@ -107,27 +109,71 @@ def success_probability(report: ProtocolReport, semantics: str) -> float:
 # The four Pauli words in op code order I, X, Z, ZX: as the column of codes
 # that grades every row under each word, and as objects.
 _WORDS = np.arange(4)[:, None]
-_PAULI_OPS = np.array([RecoveryOp.from_code(code) for code in range(4)], dtype=object)
+_PAULI_OPS = tuple(RecoveryOp.from_code(code) for code in range(4))
 
 
-def _oracle(
-    rows: np.ndarray, t: TargetState, success: float
-) -> tuple[tuple[RecoveryOp, float, complex | None], ...]:
-    """The Pauli oracle's (operator, fidelity, residual phase) for each row,
-    with the phase None where the best fidelity misses 1 - success.
+@dataclass(frozen=True, eq=False)
+class OracleBranches(abc.Sequence):
+    """The Pauli oracle's verdict on every branch of a run, one column per field.
 
-    The four words go through the engine's grading kernel in one call, so
-    on the word a rule picks the oracle's fidelity is the engine's bit for
-    bit.  Exact ties resolve to the earliest word in op code order I, X, Z,
-    ZX.
+    The columns align with the report's and are named as its are: ops holds
+    the op code (RecoveryOp.code) of the word with the best fidelity,
+    fidelity that fidelity, phase the leftover unit scalar, and faithful
+    marks the branches whose best fidelity passes the success budget; phase
+    is zero off faithful branches.  The columns are read-only.
+
+    As a sequence it holds one (operator, fidelity, residual phase) triple
+    per branch, the phase None off faithful branches, built on access from
+    the columns, as ProtocolReport.branches builds its records.
+    """
+
+    ops: np.ndarray
+    fidelity: np.ndarray
+    phase: np.ndarray
+    faithful: np.ndarray
+
+    def __len__(self) -> int:
+        return self.ops.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        return (
+            _PAULI_OPS[self.ops[i]],
+            float(self.fidelity[i]),
+            complex(self.phase[i]) if self.faithful[i] else None,
+        )
+
+    def __iter__(self):
+        phases = np.where(self.faithful, self.phase, None)
+        return zip(
+            map(_PAULI_OPS.__getitem__, self.ops.tolist()),
+            self.fidelity.tolist(),
+            phases.tolist(),
+        )
+
+
+def _oracle(rows: np.ndarray, t: TargetState, success: float) -> OracleBranches:
+    """The Pauli oracle's verdict on each row.
+
+    The four words go through the engine's grading kernel in one call, and
+    one table of their fidelities gives both the best word and its
+    fidelity, so on the word a rule picks the oracle's fidelity is the
+    engine's bit for bit.  Exact ties resolve to the earliest word in op
+    code order I, X, Z, ZX.  Only the best word's overlap is turned into a
+    phase.
     """
     overlaps = _overlaps(rows, _WORDS, t._amplitudes())[1]
-    best = np.argmax(np.abs(overlaps) ** 2, axis=0)
-    fids, phases, faithful, _ = _verdicts(
-        overlaps[best, np.arange(rows.shape[0])], success
-    )
-    phases = np.where(faithful, phases, None)
-    return tuple(zip(_PAULI_OPS[best].tolist(), fids.tolist(), phases.tolist()))
+    table = np.abs(overlaps) ** 2
+    best = np.argmax(table, axis=0)
+    picked = (best, np.arange(rows.shape[0]))
+    fidelity = table[picked]
+    faithful = fidelity >= 1.0 - success
+    phase = _unit_phases(overlaps[picked], faithful)
+    columns = (best.astype(np.int8), fidelity, phase, faithful)
+    for column in columns:
+        column.setflags(write=False)
+    return OracleBranches(*columns)
 
 
 def best_pauli(
@@ -144,15 +190,14 @@ def best_pauli(
     return _oracle(state.amplitudes[None, :], t, tol.success)[0]
 
 
-def oracle_branches(
-    report: ProtocolReport,
-) -> tuple[tuple[RecoveryOp, float, complex | None], ...]:
+def oracle_branches(report: ProtocolReport) -> OracleBranches:
     """Run the Pauli oracle on every branch of a report at once.
 
-    Returns one (operator, fidelity, residual phase) triple per branch,
-    aligned with report.branches, with the phase None where the best
-    fidelity misses the report's success budget.  Each triple is what
-    best_pauli gives on that branch's pre-recovery state.
+    Returns the oracle's columns, aligned with the report's, with the phase
+    zero where the best fidelity misses the report's success budget.  Read
+    as a sequence, entry i is the (operator, fidelity, residual phase)
+    triple best_pauli gives on branch i's pre-recovery state, with the
+    phase None there instead.
     """
     return _oracle(report.pre, report.target, report.tolerances.success)
 

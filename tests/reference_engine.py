@@ -131,23 +131,18 @@ def reference_run_exact(
 
 def reference_oracle_branches(report: ProtocolReport):
     """The Pauli oracle over the branch records, one scalar verdict at a time."""
-    live = [i for i, br in enumerate(report.branches) if br.pre_recovery is not None]
-    results = [None] * len(report.branches)
-    if not live:
-        return tuple(results)
-    rows = np.stack([report.branches[i].pre_recovery.amplitudes for i in live])
+    rows = np.stack([br.pre_recovery.amplitudes for br in report.branches])
     amps = report.target.state().amplitudes
     overlaps = np.stack([_overlaps(rows, code, amps)[1] for code in range(4)])
     fids = np.abs(overlaps) ** 2
-    best = np.argmax(fids, axis=0)
-    for col, i in enumerate(live):
-        idx = int(best[col])
+    results = []
+    for col, idx in enumerate(np.argmax(fids, axis=0).tolist()):
         fid = float(fids[idx, col])
         phase = None
         if fid >= 1.0 - report.tolerances.success:
             ov = overlaps[idx, col]
             phase = complex(ov / abs(ov))
-        results[i] = (RecoveryOp.from_code(idx), fid, phase)
+        results.append((RecoveryOp.from_code(idx), fid, phase))
     return tuple(results)
 
 

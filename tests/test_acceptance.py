@@ -92,14 +92,17 @@ def improved_sweep():
                 agg["max_alice_prob_dev"],
                 max(abs(p - alice_expected) for p in alice_mass.values()),
             )
-            for triple, br in zip(oracle_branches(report), report.branches):
-                agg["oracle_min_margin"] = min(
-                    agg["oracle_min_margin"], triple[1] - br.fidelity
-                )
-                agg["oracle_ops_match"] &= triple[0] == br.recovery
-                agg["oracle_max_phase_dev"] = max(
-                    agg["oracle_max_phase_dev"], abs(triple[2] - 1.0)
-                )
+            oracle = oracle_branches(report)
+            agg["oracle_min_margin"] = min(
+                agg["oracle_min_margin"], float((oracle.fidelity - report.fidelity).min())
+            )
+            agg["oracle_ops_match"] &= bool((oracle.ops == report.ops).all())
+            # |phase - 1| as abs() takes it of a complex; phase is 0, a
+            # deviation of 1, off faithful branches.
+            agg["oracle_max_phase_dev"] = max(
+                agg["oracle_max_phase_dev"],
+                float(np.hypot(oracle.phase.real - 1.0, oracle.phase.imag).max()),
+            )
     return agg
 
 
@@ -149,10 +152,10 @@ def bich3_sweep():
             agg["max_alice_prob_dev"],
             max(abs(p - 0.125) for p in alice_mass.values()),
         )
-        for triple, br in zip(oracle_branches(report), report.branches):
-            agg["oracle_min_margin"] = min(
-                agg["oracle_min_margin"], triple[1] - br.fidelity
-            )
+        agg["oracle_min_margin"] = min(
+            agg["oracle_min_margin"],
+            float((oracle_branches(report).fidelity - report.fidelity).min()),
+        )
     return agg
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import jrsp.bases
 from jrsp import (
     RULES,
     TargetState,
@@ -14,8 +15,9 @@ from jrsp import (
     improved_alice_basis,
     improved_bob_basis,
     printed_improved_matrix3,
+    run_exact,
 )
-from jrsp.bases import _helper_stack
+from jrsp.bases import _check_blocks, _helper_stack, _parity, _sender_pairs
 
 TWO_PI = 2.0 * np.pi
 
@@ -312,3 +314,63 @@ class TestRuleRegistry:
         assert rule("000", "00").label == "I"
         assert rule("010", "01").label == "ZX"
         assert rule("011", "01").label == "I"
+
+
+class TestOneBasisCheck:
+    """One batched Gram deviation checks a run's sender pairs and helper
+    stack, and a failure still names the basis that failed."""
+
+    @pytest.mark.parametrize("bad", [2.0, np.nan, np.inf])
+    @pytest.mark.parametrize("part, message", [
+        ("sender", r"improved sender rows are not orthonormal complement pairs, one per ket"),
+        ("helpers", r"improved helper bases are not orthonormal"),
+    ])
+    def test_failure_names_the_basis(self, part, message, bad):
+        _, _, blocks = _sender_pairs("improved", TargetState(0.6, 0.8), 3)
+        parts = {"sender": blocks, "helpers": _helper_stack("improved", (0.4, 0.7))}
+        _check_blocks("improved", **parts)
+        parts[part].reshape(-1, 2, 2)[-1, 0, 0] = bad
+        # matmul warns on an inf entry; the check must refuse it all the same.
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+            _check_blocks("improved", **parts)
+
+    def test_run_refuses_a_broken_helper_stack(self, monkeypatch):
+        real = jrsp.bases._helper_stack
+        monkeypatch.setattr(jrsp.bases, "_helper_stack", lambda *a: 2.0 * real(*a))
+        with pytest.raises(ValueError, match=r"bich3 helper bases are not orthonormal: "
+                                             r"deviation 3\.000e\+00"):
+            run_exact("bich3", TargetState(0.6, 0.8, 1.1), (0.55, 0.55), "table1")
+
+
+def _loop_parity(bits, width):
+    """The bit-by-bit parity that the popcount replaced, kept as its reference."""
+    out = bits & 0
+    for j in range(width):
+        out = out ^ ((bits >> j) & 1)
+    return out
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_parity_is_the_bit_loop(width):
+    # Negative values and bits above the width are outside every rule's
+    # indices, but the low width bits decide the parity all the same.
+    bits = np.arange(-70, (1 << (width + 1)) + 70)
+    assert np.array_equal(_parity(bits, width), _loop_parity(bits, width))
+    assert [_parity(v, width) for v in bits.tolist()] == _loop_parity(bits, width).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_rule_codes_match_the_bit_loop(monkeypatch, name):
+    rule = RULES[name]
+    rng = np.random.default_rng(len(name))
+    for n in [rule.requires_n] if rule.requires_n else range(2, 11):
+        l_idx = np.arange(1 << n).repeat(1 << (n - 1))
+        m_idx = np.tile(np.arange(1 << (n - 1)), 1 << n)
+        picks = np.arange(l_idx.size) if l_idx.size <= 2048 else rng.integers(l_idx.size, size=2048)
+        pairs = list(zip(l_idx[picks].tolist(), m_idx[picks].tolist()))
+        codes = [rule.codes(l_idx, m_idx, n), [rule.codes(l, m, n) for l, m in pairs]]
+        with monkeypatch.context() as patch:
+            patch.setattr(jrsp.bases, "_parity", _loop_parity)
+            want = [rule.codes(l_idx, m_idx, n), [rule.codes(l, m, n) for l, m in pairs]]
+        assert np.array_equal(codes[0], want[0]), n
+        assert codes[1] == want[1], n

@@ -38,6 +38,7 @@ from jrsp.cli import (
     _report_doc,
     _write_report_json,
 )
+from jrsp.protocol import _modulus, _sign_gap
 from reference_render import reference_render_csv, reference_render_text
 
 TWO_PI = 2.0 * math.pi
@@ -101,9 +102,9 @@ def test_oracle_dominates_every_rule_on_every_live_branch(run):
     for rule in applicable_rules(variant, len(shares) + 1):
         report = run_exact(variant, t, shares, rule)
         oracle = oracle_branches(report)
-        assert len(oracle) == report.prob.size
-        for pos, (_, fid, _) in enumerate(oracle):
-            assert fid >= report.fidelity[pos], (rule, pos)
+        assert oracle.fidelity.shape == report.fidelity.shape
+        losing = np.flatnonzero(~(oracle.fidelity >= report.fidelity))
+        assert losing.size == 0, (rule, losing.tolist())
 
 
 @PROPERTY
@@ -113,6 +114,26 @@ def test_improved_derived_is_strict_on_every_live_branch(run):
     report = run_exact("improved", t, shares, "derived")
     assert report.strict.all()
     assert abs(report.p_strict - 1.0) <= 1e-12
+
+
+# Real and imaginary parts of phases: the signed zeros and signs, so that
+# +-1, +-i and both zero real parts occur, points on the unit circle, where
+# every phase lies, and points around it.
+signs_and_zeros = st.sampled_from([0.0, -0.0, 1.0, -1.0])
+phase_points = st.one_of(
+    st.tuples(signs_and_zeros, signs_and_zeros),
+    st.floats(-math.pi, math.pi).map(lambda a: (math.cos(a), math.sin(a))),
+    st.tuples(signs_and_zeros, st.floats(-1.0, 1.0)),
+    st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.lists(phase_points, min_size=1, max_size=16))
+def test_sign_gap_is_the_distance_to_the_nearer_sign(points):
+    phase = np.array([complex(re, im) for re, im in points])
+    nearer = np.minimum(_modulus(phase - 1.0), _modulus(phase + 1.0))
+    assert _sign_gap(phase).tobytes() == nearer.tobytes()
 
 
 # Floats whose printed form is easy to get wrong: signed zeros, subnormals,

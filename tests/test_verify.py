@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+from collections import abc
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from jrsp import (
     best_pauli,
     compare_rules,
     detect_errata,
+    generic_shares,
     oracle_branches,
     run_exact,
     success_probability,
@@ -83,6 +87,62 @@ class TestOracleBranches:
             op, fid, phase = best_pauli(br.pre_recovery, t)
             assert triple[0] == op
             assert triple[1] == pytest.approx(fid)
+
+    def test_reads_as_the_tuple_of_triples(self, rng):
+        t, shares = generic_run_args(rng, 3)
+        report = run_exact("improved", t, shares, "table2")
+        # Random receiver states, so that some branches miss fidelity 1 under
+        # every word and read a None phase.
+        rows = rng.normal(size=(report.prob.size, 2)) + 1j * rng.normal(size=(report.prob.size, 2))
+        rows[::3] = report.pre[::3]
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        oracle = oracle_branches(replace(report, pre=rows))
+        triples = tuple(oracle)
+        assert isinstance(oracle, abc.Sequence)
+        assert len(oracle) == len(triples) == report.prob.size
+        assert {p is None for _, _, p in triples} == {True, False}
+        for i in range(-len(triples), len(triples)):
+            assert oracle[i] == triples[i], i
+            assert oracle[i] == best_pauli(StateVector(rows[i], ("C",)), t)
+        for i in (len(triples), -len(triples) - 1):
+            with pytest.raises(IndexError):
+                oracle[i]
+        assert oracle[3:20:4] == triples[3:20:4]
+        assert tuple(reversed(oracle)) == triples[::-1]
+
+    def test_columns_are_read_only(self, rng):
+        t, shares = generic_run_args(rng, 4)
+        oracle = oracle_branches(run_exact("improved", t, shares, "paper-step3"))
+        for name, dtype in (("ops", np.int8), ("fidelity", np.float64),
+                            ("phase", np.complex128), ("faithful", np.bool_)):
+            column = getattr(oracle, name)
+            assert (column.dtype, column.shape) == (dtype, (len(oracle),)), name
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+            with pytest.raises(FrozenInstanceError):
+                setattr(oracle, name, column.copy())
+
+    def test_keeps_no_per_branch_objects(self):
+        shares = generic_shares(7, 3)
+        report = run_exact("improved", TargetState(0.6, 0.8, sum(shares)), shares, "derived")
+        oracle_branches(report)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            oracle = oracle_branches(report)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        per_branch = report.prob.size
+        # The four columns take 26 bytes a branch and the grading temporaries
+        # about 140 more; a Python triple per branch kept 124 bytes a branch
+        # and peaked at 239.
+        assert len(oracle) == per_branch
+        assert (kept - start) / per_branch <= 32
+        assert (peak - start) / per_branch <= 200
 
     def test_oracle_never_loses_to_the_rule(self, rng):
         t, shares = generic_run_args(rng, 3)
