@@ -320,24 +320,27 @@ def _table_rows(rows: int, pieces: Sequence) -> Iterator[str]:
     Every piece becomes a table of its cells as NUL-padded bytes, and a
     chunk's rows are those tables looked up by row and laid side by side in
     a (rows, width) byte matrix; dropping the NULs, which no cell holds,
-    leaves the rows.
+    leaves the rows.  A cell is gathered as one opaque item of its piece's
+    width, straight into the piece's span of the matrix.
     """
     columns, width = [], 0
     for piece in pieces:
         cells, index = ([piece], None) if isinstance(piece, str) else piece
         table = np.array(cells, dtype="S")
-        table = table.view(np.uint8).reshape(table.size, table.itemsize)
-        columns.append((slice(width, width + table.shape[1]), table, index))
-        width += table.shape[1]
+        columns.append((slice(width, width + table.itemsize), table, index))
+        width += table.itemsize
     block = np.empty((min(rows, _CHUNK_ROWS), width), np.uint8)
+    gathers = []
     for span, table, index in columns:
         if index is None:
-            block[:, span] = table[0]
-    columns = [(span, table, index) for span, table, index in columns if index is not None]
+            block[:, span] = table.view(np.uint8)
+        else:
+            gathers.append((span, table.view(np.dtype((np.void, table.itemsize))), index))
     for first in range(0, rows, _CHUNK_ROWS):
         chunk = block[:min(rows - first, _CHUNK_ROWS)]
-        for span, table, index in columns:
-            chunk[:, span] = table.take(index[first:first + len(chunk)], axis=0)
+        for span, table, index in gathers:
+            cells = chunk[:, span].view(table.dtype)[:, 0]
+            cells[:] = table.take(index[first:first + len(chunk)])
         yield chunk.tobytes().replace(b"\0", b"").decode()
 
 
@@ -378,8 +381,9 @@ def _write_report_json(config: RunConfig, report: ProtocolReport) -> None:
     which json.dumps would print as NaN or Infinity, raises ValueError
     before anything is written.
     """
-    printed = (_printed_prob(report), report.fidelity, report.phase[report.faithful])
-    if not all(np.isfinite(column).all() for column in printed):
+    # The printed columns are checked and dropped before any row is laid out.
+    if not all(np.isfinite(column).all() for column in
+               (_printed_prob(report), report.fidelity, report.phase[report.faithful])):
         raise ValueError("the report holds a non-finite number, which JSON cannot carry")
     head, _, tail = json.dumps(_report_doc(config, report), indent=2,
                                allow_nan=False).partition(json.dumps(_BRANCHES))
@@ -417,7 +421,8 @@ def _signed_imag(x: float) -> str:
     return f"{'' if text.startswith('-') else '+'}{text}j"
 
 
-def _render_report_text(config: RunConfig, report: ProtocolReport) -> str:
+def _render_report_text(config: RunConfig, report: ProtocolReport) -> Iterator[str]:
+    """The simulate text report in parts: the head, each row chunk, the footer."""
     lines = [
         f"variant: {report.variant}",
         f"n: {report.n}",
@@ -451,11 +456,13 @@ def _render_report_text(config: RunConfig, report: ProtocolReport) -> str:
         f"success_probability[{config.semantics}]: "
         f"{_g(success_probability(report, config.semantics))}",
     ]
-    return "".join(["\n".join(lines) + "\n", *_table_rows(report.prob.size, pieces),
-                    "\n".join(footer) + "\n"])
+    yield "\n".join(lines) + "\n"
+    yield from _table_rows(report.prob.size, pieces)
+    yield "\n".join(footer) + "\n"
 
 
-def _render_report_csv(config: RunConfig, report: ProtocolReport) -> str:
+def _render_report_csv(config: RunConfig, report: ProtocolReport) -> Iterator[str]:
+    """The simulate csv report in parts: the head, then each row chunk."""
     lines = [
         f"# variant={report.variant}",
         f"# n={report.n}",
@@ -481,7 +488,8 @@ def _render_report_csv(config: RunConfig, report: ProtocolReport) -> str:
         _float_cells(report.phase.real, _g, report.faithful), ",",
         _float_cells(report.phase.imag, _g, report.faithful), "\n",
     ]
-    return "".join(["\n".join(lines) + "\n", *_table_rows(report.prob.size, pieces)])
+    yield "\n".join(lines) + "\n"
+    yield from _table_rows(report.prob.size, pieces)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -512,10 +520,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         Path(args.dump_config).write_text(json.dumps(asdict(config), indent=2) + "\n")
     if config.format == "json":
         _write_report_json(config, report)
-    elif config.format == "csv":
-        sys.stdout.write(_render_report_csv(config, report))
     else:
-        sys.stdout.write(_render_report_text(config, report))
+        render = _render_report_csv if config.format == "csv" else _render_report_text
+        for part in render(config, report):
+            sys.stdout.write(part)
     if args.assert_p is not None:
         p = success_probability(report, config.semantics)
         if abs(p - args.assert_p) > args.assert_tol:

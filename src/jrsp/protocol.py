@@ -301,13 +301,53 @@ def _helper_columns(cols: np.ndarray, picks: np.ndarray) -> np.ndarray:
     and picks[j] names the column helper j contributes to each outcome.  The
     joint basis is the Kronecker product of the helper bases in label order,
     so its column is the Kronecker product of one column per factor.  The
-    factors are multiplied left to right, as np.kron does, so every entry is
-    bitwise the entry of the full product.
+    factors are multiplied left to right, with the running column as the
+    first operand, as np.kron does, so every entry is bitwise the entry of
+    the full product.  Each factor is applied as two whole-column products,
+    one per entry of the factor, so every multiply runs over the whole
+    running column rather than over pairs.
     """
     col = cols[0, picks[0]]
     for j in range(1, len(picks)):
-        col = (col[:, :, None] * cols[j, picks[j]][:, None, :]).reshape(len(col), -1)
+        factor = cols[j, picks[j]]
+        out = np.empty(col.shape + (2,), dtype=np.complex128)
+        for b in (0, 1):
+            np.multiply(col, factor[:, b, None], out=out[:, :, b])
+        col = out.reshape(len(col), -1)
     return col
+
+
+# Rows _normalise scales at a time: 512 KiB of pre, so that each of its
+# passes over a float column of the block finds the block in cache.
+_NORMALISE_ROWS = 1 << 14
+
+
+def _normalise(pre: np.ndarray) -> np.ndarray:
+    """Scale every row of pre, shape (rows, 2), to unit norm in place and
+    return the squared norms it had.
+
+    The squared norm is (re0² + im0²) + (re1² + im1²) in that order, which
+    is bitwise np.einsum("mj,mj->m", pre.conj(), pre).real; it is built one
+    float column at a time, so no temporary is the size of pre.  numpy
+    divides a complex by a real s as by s + 0j, which for components that
+    are not -0 is the product with 1 / s, so scaling the float columns by
+    1 / s is bitwise pre /= s.  Rows are taken _NORMALISE_ROWS at a time,
+    and every pass runs over all the rows of its block.
+    """
+    cond = np.empty(len(pre))
+    for first in range(0, len(pre), _NORMALISE_ROWS):
+        parts = pre[first:first + _NORMALISE_ROWS].view(np.float64)
+        re0, im0, re1, im1 = parts.T
+        norms = cond[first:first + _NORMALISE_ROWS]
+        np.multiply(re0, re0, out=norms)
+        norms += im0 * im0
+        tail = re1 * re1
+        tail += im1 * im1
+        norms += tail
+        scale = 1.0 / np.sqrt(norms)
+        for column in parts.T:
+            column *= scale
+    return cond
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -545,9 +585,9 @@ def run_exact(
         pre[rows, :, slot] = column
     pre = pre.reshape(-1, 2)
 
-    cond = np.einsum("mj,mj->m", pre.conj(), pre).real
+    # The + 0.0 left no -0 component, which _normalise needs.
+    cond = _normalise(pre)
     prob = (p_alice[:, None] * cond.reshape(outcomes, -1)).reshape(-1)
-    pre /= np.sqrt(cond)[:, None]
 
     post, overlaps = _overlaps(pre, ops, t._amplitudes())
     fidelity, phase, faithful, strict = _verdicts(overlaps, tol.success)

@@ -78,12 +78,6 @@ def reference_run_exact(
         l_bits = index_to_bits(out.outcome_index, n)
         all_m = [index_to_bits(mi, n - 1) for mi in range(helper_dim)]
         ops = [resolved(l_bits, m_bits) for m_bits in all_m]
-        if out.residual_state is None:
-            for m_bits, op in zip(all_m, ops):
-                branches.append(
-                    BranchRecord(l_bits, m_bits, 0.0, None, op, None, False, None, None)
-                )
-            continue
         joint_basis = reduce(
             np.kron, [b.matrix for b in _helper_bases(variant, l_bits, shares)]
         )
@@ -91,19 +85,12 @@ def reference_run_exact(
             helper_dim, 2
         )
         cond = np.einsum("mj,mj->m", components.conj(), components).real
-        live = cond >= tol.probability_floor
-        pre_rows = np.zeros_like(components)
-        pre_rows[live] = components[live] / np.sqrt(cond[live])[:, None]
+        pre_rows = components / np.sqrt(cond)[:, None]
         codes = np.array([o.code for o in ops], dtype=np.int8)
         post_rows, overlaps = _overlaps(pre_rows, codes, target_amps)
         fids = np.abs(overlaps) ** 2
         for mi, (m_bits, op) in enumerate(zip(all_m, ops)):
             prob = float(out.probability * cond[mi])
-            if not live[mi]:
-                branches.append(
-                    BranchRecord(l_bits, m_bits, prob, None, op, None, False, None, None)
-                )
-                continue
             fid = float(fids[mi])
             phase: complex | None = None
             strict = False

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import generic_run_args
 from reference_engine import reference_oracle_branches, reference_run_exact
@@ -17,6 +21,7 @@ from jrsp import (
     oracle_branches,
     run_exact,
 )
+from jrsp import protocol
 from jrsp.bases import _BICH_TABLE1
 from jrsp.qcore import index_to_bits
 
@@ -28,20 +33,16 @@ CASES = [("bich3", "table1", 3), ("improved", "table2", 3)] + [
 
 
 def _reference_columns(ref) -> dict[str, np.ndarray]:
-    """The reference records as columns, zeros where a record holds None."""
-    zero = np.zeros(2, dtype=np.complex128)
+    """The reference records as columns, phase zero where a record holds None."""
     brs = ref.branches
     return {
         "prob": np.array([br.probability for br in brs]),
-        "pre": np.array([zero if br.pre_recovery is None else br.pre_recovery.amplitudes
-                         for br in brs]),
-        "post": np.array([zero if br.post_recovery is None else br.post_recovery.amplitudes
-                          for br in brs]),
-        "fidelity": np.array([0.0 if br.fidelity is None else br.fidelity for br in brs]),
+        "pre": np.array([br.pre_recovery.amplitudes for br in brs]),
+        "post": np.array([br.post_recovery.amplitudes for br in brs]),
+        "fidelity": np.array([br.fidelity for br in brs]),
         "phase": np.array([0j if br.residual_phase is None else br.residual_phase
                            for br in brs]),
         "strict": np.array([br.strict_match for br in brs]),
-        "live": np.array([br.pre_recovery is not None for br in brs]),
         "ops": np.array([br.recovery.code for br in brs], dtype=np.int8),
     }
 
@@ -50,8 +51,6 @@ def _assert_bitwise(variant, t, shares, rule):
     report = run_exact(variant, t, shares, rule)
     ref = reference_run_exact(variant, t, shares, rule)
     want = _reference_columns(ref)
-    # The reference keeps its probability floor, and it prunes no branch.
-    assert want["live"].all()
     for name in ("prob", "pre", "post", "fidelity", "phase"):
         assert getattr(report, name).tobytes() == want[name].tobytes(), name
     for name in ("strict", "ops"):
@@ -77,6 +76,78 @@ def test_columns_match_reference_bitwise(variant, rule, n):
     rng = np.random.default_rng(10 * n + len(rule))
     for t, shares in _targets(rng, n):
         _assert_bitwise(variant, t, shares, rule)
+
+
+# Signed zeros, units, subnormals and magnitudes whose products under- or
+# overflow, beside ordinary values.
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-200, -1e-200,
+                     1e200, -1e200, 1.7976931348623157e308]),
+    st.floats(-4.0, 4.0),
+)
+
+
+@st.composite
+def _factor_stacks(draw):
+    """(cols, picks) for _helper_columns: k helpers, each four 2-entry
+    columns, and each of a few outcomes' pick of one column per helper."""
+    k = draw(st.integers(1, 5))
+    outcomes = draw(st.integers(1, 6))
+    parts = draw(st.lists(_PARTS, min_size=16 * k, max_size=16 * k))
+    cols = np.array(parts).view(np.complex128).reshape(k, 4, 2)
+    picks = np.array(draw(st.lists(st.integers(0, 3), min_size=k * outcomes,
+                                   max_size=k * outcomes))).reshape(k, outcomes)
+    return cols, picks
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_factor_stacks())
+def test_helper_columns_are_the_kronecker_products_bitwise(stack):
+    cols, picks = stack
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = protocol._helper_columns(cols, picks)
+        for row, outcome in zip(got, picks.T):
+            want = reduce(np.kron, [cols[j, p] for j, p in enumerate(outcome)])
+            assert row.tobytes() == want.tobytes()
+
+
+def _assert_einsum_and_division(raw, pre, cond):
+    """cond is the einsum norm of raw's rows and pre is raw divided by its
+    root, bit for bit."""
+    want = np.einsum("mj,mj->m", raw.conj(), raw).real
+    assert cond.tobytes() == want.tobytes()
+    assert pre.tobytes() == (raw / np.sqrt(want)[:, None]).tobytes()
+
+
+@pytest.mark.parametrize("variant, rule, n", CASES)
+def test_normalised_rows_are_the_einsum_and_division_forms(monkeypatch, variant, rule, n):
+    """On every shape and target of the bitwise reference test; prob is
+    p_alice times these norms, checked against the reference above."""
+    normalise, rows = protocol._normalise, []
+
+    def checked(pre):
+        raw = pre.copy()
+        cond = normalise(pre)
+        _assert_einsum_and_division(raw, pre, cond)
+        rows.append(len(pre))
+        return cond
+
+    monkeypatch.setattr(protocol, "_normalise", checked)
+    rng = np.random.default_rng(10 * n + len(rule))
+    for t, shares in _targets(rng, n):
+        run_exact(variant, t, shares, rule)
+    assert rows == [1 << (2 * n - 1)] * 5
+
+
+def test_normalised_blocks_are_the_einsum_and_division_forms():
+    """Rows over several of _normalise's blocks, with zero components."""
+    rows = 2 * protocol._NORMALISE_ROWS + 5
+    rng = np.random.default_rng(12)
+    raw = rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))
+    raw[::7, 0] = 0.0
+    raw[3::7, 1] = 0.0
+    pre = raw.copy()
+    _assert_einsum_and_division(raw, pre, protocol._normalise(pre))
 
 
 @pytest.mark.parametrize("variant, rule, n", [("bich3", "table1", 3), ("improved", "table2", 3),

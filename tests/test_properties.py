@@ -36,6 +36,7 @@ from jrsp.cli import (
     _render_report_csv,
     _render_report_text,
     _report_doc,
+    _table_rows,
     _write_report_json,
 )
 from jrsp.protocol import _modulus, _sign_gap
@@ -262,9 +263,9 @@ def reference_differences(report) -> list[str | None]:
     with contextlib.redirect_stdout(buf):
         _write_report_json(CONFIG, report)
     return [
-        first_difference(_render_report_text(CONFIG, report),
+        first_difference("".join(_render_report_text(CONFIG, report)),
                          reference_render_text(CONFIG, report)),
-        first_difference(_render_report_csv(CONFIG, report),
+        first_difference("".join(_render_report_csv(CONFIG, report)),
                          reference_render_csv(CONFIG, report)),
         first_difference(buf.getvalue(), json.dumps(schema_doc(report), indent=2) + "\n"),
     ]
@@ -316,6 +317,40 @@ def test_eight_party_reports_match_the_references_across_chunks():
         faithful=faithful,
         strict=rng.random(size) < 0.5,
     )
+    assert reference_differences(report) == [None, None, None]
+
+
+def test_pieces_of_empty_and_one_byte_cells_gather_as_joined_strings():
+    """A piece whose only cell is empty and pieces of 1-byte cells, beside
+    constants and wider cells, over several chunks."""
+    rows = 2 * _CHUNK_ROWS + 3
+    rng = np.random.default_rng(5)
+    pieces = [
+        ([""], np.zeros(rows, np.intp)),
+        (["a", "b", "c"], rng.integers(0, 3, rows)),
+        ",",
+        (["", "x"], rng.integers(0, 2, rows)),
+        (["", "long cell", "-0"], rng.integers(0, 3, rows)),
+        ([""], np.zeros(rows, np.intp)),
+        "\n",
+    ]
+    want = "".join(
+        "".join(p if isinstance(p, str) else p[0][p[1][row]] for p in pieces)
+        for row in range(rows)
+    )
+    assert "".join(_table_rows(rows, pieces)) == want
+
+
+def test_reports_with_no_faithful_row_print_as_the_reference_does():
+    """The phase columns hold only the absent cell: empty in csv, - in text,
+    null in json."""
+    t = TargetState(0.6, 0.8, 1.1)
+    report = run_exact("improved", t, split_phase(t.phi, 2, "equal", None), "derived")
+    size = report.prob.size
+    report = replace(report, faithful=np.zeros(size, bool), strict=np.zeros(size, bool),
+                     phase=np.zeros(size, complex))
+    csv = "".join(_render_report_csv(CONFIG, report))
+    assert csv.splitlines()[-1].endswith(",,")
     assert reference_differences(report) == [None, None, None]
 
 
