@@ -14,10 +14,11 @@ step-by-step dense cascade (:func:`build_channel`, then
 ``projective_measure`` on the sender and on each helper in turn) lives in
 tests/reference_engine.py, where prob and pre are checked against it bit
 for bit.  Grading, the recovery Pauli and the overlap with the target, is
-one kernel, :func:`_overlaps`, shared by the engine, the Pauli oracle in
-:mod:`jrsp.verify` and the reference.  Sampled runs draw transcripts from
-the same law using counter-based per-trial random streams, so a given seed
-reproduces identical counts on any machine.
+one kernel, :func:`_overlaps`, shared by the engine and the reference; the
+Pauli oracle in :mod:`jrsp.verify` grades all four words at once from
+shared products and matches it bit for bit.  Sampled runs draw
+transcripts from the same law using counter-based per-trial random
+streams, so a given seed reproduces identical counts on any machine.
 
 Register layout: the channel orders qubits A1..An, B1..B(n-1), C.  Qubit Aj
 is entangled with Bj for j < n and An is entangled with the receiver qubit
@@ -28,6 +29,7 @@ an outcome transcript reads left to right like its bit string.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -365,20 +367,18 @@ def _unit_phases(overlaps: np.ndarray, where: np.ndarray) -> np.ndarray:
 
 def _overlaps(
     pre: np.ndarray, codes: np.ndarray | int, target_amps: np.ndarray
-) -> tuple[np.ndarray | None, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The grading kernel: each row of pre after its Pauli word, and the
     overlap of the target with it.
 
-    codes holds one op code (RecoveryOp.code) per row, is one code for
-    every row, or is a column of k codes, shape (k, 1), which grades every
-    row under each of the k words at once and gives the overlaps a leading
-    axis of length k.  post is None for such a column, whose one caller,
-    the Pauli oracle, reads only the overlaps.  The word is applied exactly,
-    as the textbook matrix acts: X swaps the two amplitudes, Z negates the
-    second, and + 0.0 turns -0 into +0.  The overlap is summed entry by
-    entry, so each value depends on its own row and word alone, never on
-    the rows beside it or on the BLAS kernel; the engine, the Pauli oracle
-    and the reference all grade here.
+    codes holds one op code (RecoveryOp.code) per row, or is one code for
+    every row.  The word is applied exactly, as the textbook matrix acts:
+    X swaps the two amplitudes, Z negates the second, and + 0.0 turns -0
+    into +0.  The overlap is summed entry by entry, so each value depends
+    on its own row and word alone, never on the rows beside it or on the
+    BLAS kernel; the engine and the reference grade here, and the Pauli
+    oracle's grid over all four words (``verify._word_overlaps``) matches
+    it bit for bit.
     """
     # A code is x + 2 z: bit 0 asks for X, and Z is asked for by 2 and 3.
     codes = np.asarray(codes)
@@ -388,11 +388,9 @@ def _overlaps(
     np.negative(v, out=v, where=z)
     u += 0.0
     v += 0.0
-    post = None
-    if codes.ndim < 2:
-        post = np.empty(u.shape + (2,), dtype=np.complex128)
-        post[..., 0] = u
-        post[..., 1] = v
+    post = np.empty(u.shape + (2,), dtype=np.complex128)
+    post[:, 0] = u
+    post[:, 1] = v
     # The overlap conj(c0) u + conj(c1) v, formed in place in u.
     c0, c1 = target_amps.conj()
     u *= c0
@@ -611,51 +609,91 @@ def run_exact(
     )
 
 
-# Philox4x64-10 constants (Salmon et al., SC'11; numpy.random.Philox).
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Philox4x64-10 constants (Salmon et al., SC'11; numpy.random.Philox) as
+# (2, 1, 1) columns with one entry per lane: the multipliers and the key's
+# step per round.  _PHILOX_COLUMNS stacks the step, the multipliers and
+# their 32-bit halves.  The masks and shift counts are 0-d arrays, which
+# numpy converts with less per-call work than scalars.
+_PHILOX_M = np.array([[[0xD2E7470EE14C6C93]], [[0xCA5A826395121157]]], dtype=np.uint64)
+_PHILOX_W = np.array([[[0x9E3779B97F4A7C15]], [[0xBB67AE8584CAA73B]]], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
-_MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
+_LOW32 = np.array(0xFFFFFFFF, dtype=np.uint64)
+_SHIFT32 = np.array(32, dtype=np.uint64)
+_SHIFT11 = np.array(11, dtype=np.uint64)
+_PHILOX_COLUMNS = np.stack((_PHILOX_W, _PHILOX_M, _PHILOX_M & _LOW32, _PHILOX_M >> _SHIFT32))
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
 _CHUNK = 4096  # trials per batch, so memory stays flat in the trial count
-
-
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products a * b, for a uint64 array b.
-
-    numpy has no 128-bit integers, so the high word is assembled from the
-    32-bit halves of both factors; no partial sum can overflow 64 bits.
-    """
-    a_lo, a_hi = np.uint64(a & _MASK32), np.uint64(a >> 32)
-    b_lo, b_hi = b & _MASK32, b >> 32
-    lo_lo = a_lo * b_lo
-    mid = a_hi * b_lo + (lo_lo >> 32)
-    cross = a_lo * b_hi + (mid & _MASK32)
-    return a_hi * b_hi + (mid >> 32) + (cross >> 32), np.uint64(a) * b
 
 
 def _philox_uniforms(seed: int, trial_ids: np.ndarray, count: int) -> np.ndarray:
     """The first count draws of np.random.Philox(key=(seed, trial)).random()
     for every trial in the uint64 array trial_ids.
 
-    Returns one row per trial.  Philox4x64-10 turns a 128-bit key and a
-    256-bit counter into four 64-bit words per block; a fresh numpy Philox
-    bumps its counter before the first block, so draws 4b..4b+3 come from
-    counter (b + 1, 0, 0, 0).  Each word w maps to the double (w >> 11) 2^-53.
+    Returns one row per trial, shape (trials, count): the transpose of a
+    draw-major (count, trials) array, so one draw of every trial is
+    contiguous.  Philox4x64-10 turns a 128-bit key and a 256-bit counter
+    into four 64-bit words per block; a fresh numpy Philox bumps its counter
+    before the first block, so draws 4b..4b+3 come from counter
+    (b + 1, 0, 0, 0).  Each word w maps to the double (w >> 11) 2^-53.
+
+    The counter is two (2, blocks, trials) lane stacks: mixed holds the
+    words a round multiplies, (c0, c2), and passed the words it passes
+    through, (c1, c3).  Each step of the two 64 x 64 -> 128 bit products is
+    one numpy call over both lanes against the multiplier stack; numpy has
+    no 128-bit integers, so the high word is assembled from 32-bit halves
+    and no partial sum overflows 64 bits.  A round then sets
+    mixed = high[::-1] ^ passed ^ key and passed = low[::-1], swapping the
+    lanes through reversed views.  The key stack starts at (seed, trial)
+    and steps by (W0, W1) after every round, so round r uses
+    (seed + r W0, trial + r W1).
+
+    Every buffer of the rounds is a slice of one allocation made once per
+    call and freed on return, and every operand of a round has the full
+    stack shape: numpy's loop over same-shape contiguous arrays skips the
+    broadcasting iterator.  The draws get their own array, so the block is
+    freed before the next batch asks for one, and glibc's malloc hands the
+    same pages back batch after batch rather than returning them to the
+    system to be faulted in again.
     """
     blocks = -(-count // 4)
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
-    c1 = c2 = c3 = np.zeros_like(c0)
-    for r in range(_PHILOX_ROUNDS):
-        k0 = np.uint64((seed + r * _PHILOX_W[0]) & _MASK64)
-        k1 = trial_ids + np.uint64(r * _PHILOX_W[1] & _MASK64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack((c0, c1, c2, c3), axis=-1).transpose(1, 0, 2)
-    words = words.reshape(trial_ids.size, 4 * blocks)[:, :count]
-    return (words >> 11).astype(np.float64) * _DOUBLE_UNIT
+    work = np.empty((11, 2, blocks, trial_ids.size), dtype=np.uint64)
+    work[:4] = _PHILOX_COLUMNS
+    step, m, m_lo, m_hi, key, mixed, passed, low, spare, mid, carry = work
+    key[0] = seed
+    key[1] = trial_ids
+    mixed[0] = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
+    mixed[1] = 0
+    passed.fill(0)
+    passed = passed[::-1]
+    for _ in range(_PHILOX_ROUNDS):
+        np.multiply(m, mixed, out=low)
+        # mixed's high halves, then the high words, are formed in place.
+        np.bitwise_and(mixed, _LOW32, out=mid)
+        np.right_shift(mixed, _SHIFT32, out=mixed)
+        np.multiply(m_lo, mid, out=carry)
+        np.right_shift(carry, _SHIFT32, out=carry)
+        np.multiply(m_hi, mid, out=mid)
+        np.add(mid, carry, out=mid)
+        np.bitwise_and(mid, _LOW32, out=carry)
+        np.right_shift(mid, _SHIFT32, out=mid)
+        np.multiply(m_lo, mixed, out=spare)
+        np.add(spare, carry, out=carry)  # the cross term
+        np.right_shift(carry, _SHIFT32, out=carry)
+        np.multiply(m_hi, mixed, out=mixed)
+        np.add(mixed, mid, out=mixed)
+        np.add(mixed, carry, out=mixed)
+        np.bitwise_xor(mixed[::-1], passed, out=spare)
+        np.bitwise_xor(spare, key, out=spare)
+        np.add(key, step, out=key)
+        mixed, spare = spare, mixed
+        # low is always written to a plain buffer; passed is its reverse.
+        low, passed = passed[::-1], low[::-1]
+    # Block b's words c0, c1, c2, c3 are mixed[0], passed[0], mixed[1], passed[1].
+    draws = np.empty((blocks, 2, 2, trial_ids.size))
+    for words, kind in ((mixed, 0), (passed, 1)):
+        np.right_shift(words, _SHIFT11, out=words)
+        np.multiply(words.transpose(1, 0, 2), _DOUBLE_UNIT, out=draws[:, :, kind])
+    return draws.reshape(4 * blocks, -1)[:count].T
 
 
 def _sampling_tables(probabilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -683,6 +721,16 @@ def _sampling_tables(probabilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.cumsum(marginal), next_zero
 
 
+def _integer(name: str, value: object) -> int:
+    """value as a Python int, for an int or numpy integer that is not a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def run_sampled(
     variant: str,
     t: TargetState,
@@ -698,20 +746,23 @@ def run_sampled(
     ``np.random.Generator(np.random.Philox(key=np.array([seed, k],
     dtype=np.uint64))).random()``, that is Philox4x64-10 keyed on the 64-bit
     words (seed, k) with the counter starting at 1 and each output word w
-    mapped to (w >> 11) 2^-53.  Any seed in [0, 2^64) is used as its full
-    64-bit word.  The transcript is
-    sampled ancestrally: draw 0 picks the sender outcome by inverting the
-    cumulative sender law, and draw d + 1 sets helper bit d to 0 exactly
-    when it falls below that bit's conditional probability of 0.  So a seed
-    reproduces identical counts on any machine, independent of trial
-    order, and trials are drawn in fixed-size batches, so memory stays flat
-    however many are requested.  The returned report reuses the exact
-    per-branch grading and carries the observed branch counts; its p_strict
-    and p_fidelity are empirical frequencies.
+    mapped to (w >> 11) 2^-53.  trials and seed must be integers (Python or
+    numpy, not bool), and any seed in [0, 2^64) is used as its full 64-bit
+    word.  The transcript is sampled ancestrally: draw 0 picks the sender
+    outcome by inverting the cumulative sender law, and draw d + 1 sets
+    helper bit d to 0 exactly when it falls below that bit's conditional
+    probability of 0.  So a seed reproduces identical counts on any
+    machine, independent of trial order.  Trials are drawn in batches of
+    _CHUNK, so memory stays flat however many are requested; a batch's
+    draws come from :func:`_philox_uniforms` laid out draw-major, so each
+    step of the descent reads one contiguous row of draws.  The returned
+    report reuses the exact per-branch grading and carries the observed
+    branch counts; its p_strict and p_fidelity are empirical frequencies.
     """
+    trials = _integer("trials", trials)
+    seed = _integer("seed", seed)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    seed = int(seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in an unsigned 64-bit word, got {seed}")
     exact = run_exact(variant, t, shares, rule, tol)

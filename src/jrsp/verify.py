@@ -3,9 +3,9 @@ basis health checks, and the errata report on the manuscript under audit.
 
 The oracle here is deliberately independent of every recovery rule: it
 exhaustively tries the four Pauli words on each pre-recovery receiver state
-and reports the best achievable fidelity.  It grades each word with the
-engine's own kernel, so on any branch the oracle's fidelity is at least the
-rule's, bit for bit, whatever the CPU.  A rule is vindicated exactly when
+and reports the best achievable fidelity.  It grades each word exactly as
+the engine's kernel does, bit for bit, so on any branch the oracle's
+fidelity is at least the rule's, whatever the CPU.  A rule is vindicated exactly when
 it matches the oracle branch by branch.  The errata detector replays the
 specific constructions whose printed form is internally inconsistent and
 attaches machine-checkable numbers to each finding; manuscript coordinates
@@ -33,7 +33,6 @@ from .bases import (
 from .protocol import (
     ProtocolReport,
     _check_party_count,
-    _overlaps,
     _unit_phases,
     generic_shares,
     run_exact,
@@ -106,9 +105,7 @@ def success_probability(report: ProtocolReport, semantics: str) -> float:
     raise ValueError(f"unknown semantics {semantics!r}, expected one of {SEMANTICS}")
 
 
-# The four Pauli words in op code order I, X, Z, ZX: as the column of codes
-# that grades every row under each word, and as objects.
-_WORDS = np.arange(4)[:, None]
+# The four Pauli words in op code order I, X, Z, ZX.
 _PAULI_OPS = tuple(RecoveryOp.from_code(code) for code in range(4))
 
 
@@ -153,17 +150,48 @@ class OracleBranches(abc.Sequence):
         )
 
 
+def _word_overlaps(rows: np.ndarray, target_amps: np.ndarray) -> np.ndarray:
+    """The (4, rows) overlaps of the target with each row after each Pauli
+    word, in op code order I, X, Z, ZX.
+
+    Row k of the result is bit for bit what the engine's grading kernel,
+    ``_overlaps(rows, k, target_amps)``, gives, signed zeros included: each
+    word's overlap is conj(c0) u + conj(c1) v with u and v the word's
+    amplitudes plus 0.0, and the four words share six products.  With p0,
+    p1 the amplitudes and q = p + 0, I is q0 c0* + q1 c1*, X is
+    q1 c0* + q0 c1*, Z is q0 c0* + (-p1 + 0) c1* and ZX is
+    q1 c0* + (-p0 + 0) c1*; -q + 0 equals -p + 0 bit for bit.  Every
+    product is taken in place over contiguous rows against a scalar, as in
+    the kernel.  The match holds for the kernel called on two rows or more:
+    numpy multiplies a one-element array in place without fused
+    multiply-add, so a part that underflows to zero can take the other sign.
+    """
+    c0, c1 = target_amps.conj()
+    overlaps = np.empty((4, rows.shape[0]), dtype=np.complex128)
+    np.add(rows.T, 0.0, out=overlaps[:2])
+    negated = np.negative(overlaps[:2])
+    negated += 0.0
+    negated *= c1
+    overlaps[2:] = overlaps[:2]
+    overlaps[:2] *= c0
+    overlaps[2:] *= c1
+    np.add(overlaps[1::-1], negated, out=negated)  # ZX in row 0, Z in row 1
+    overlaps[:2] += overlaps[:1:-1]  # I and X
+    overlaps[2:] = negated[::-1]
+    return overlaps
+
+
 def _oracle(rows: np.ndarray, t: TargetState, success: float) -> OracleBranches:
     """The Pauli oracle's verdict on each row.
 
-    The four words go through the engine's grading kernel in one call, and
-    one table of their fidelities gives both the best word and its
-    fidelity, so on the word a rule picks the oracle's fidelity is the
-    engine's bit for bit.  Exact ties resolve to the earliest word in op
-    code order I, X, Z, ZX.  Only the best word's overlap is turned into a
-    phase.
+    The four words are graded in one grid, :func:`_word_overlaps`, equal bit
+    for bit to the engine's grading kernel, and one table of their
+    fidelities gives both the best word and its fidelity, so on the word a
+    rule picks the oracle's fidelity is the engine's bit for bit.  Exact
+    ties resolve to the earliest word in op code order I, X, Z, ZX.  Only
+    the best word's overlap is turned into a phase.
     """
-    overlaps = _overlaps(rows, _WORDS, t._amplitudes())[1]
+    overlaps = _word_overlaps(rows, t._amplitudes())
     table = np.abs(overlaps) ** 2
     best = np.argmax(table, axis=0)
     picked = (best, np.arange(rows.shape[0]))

@@ -1,9 +1,10 @@
 """The engine's columns stay bitwise the reference's under other CPU kernels.
 
-Each case reruns tests/test_engine.py's engine-against-reference comparison
-in a child process whose environment switches one CPU dispatch: OpenBLAS's
-kernel (the reference's dense cascade runs through BLAS) or numpy's SIMD
-level (the engine's elementwise kernels run through numpy's ufunc loops).
+Each case reruns tests/test_engine.py's engine-against-reference and
+oracle-against-reference comparisons in a child process whose environment
+switches one CPU dispatch: OpenBLAS's kernel (the reference's dense cascade
+runs through BLAS) or numpy's SIMD level (the engine's and the oracle's
+elementwise kernels run through numpy's ufunc loops).
 A case first confirms that its switch took effect, from the ``Core:`` line
 OpenBLAS prints under ``OPENBLAS_VERBOSE=2`` or from numpy's CPU-feature
 table, and skips with the reason where it cannot.
@@ -43,8 +44,9 @@ except ImportError:
 print(json.dumps(__cpu_features__), flush=True)
 
 from conftest import generic_run_args
-from jrsp import TargetState, generic_shares
-from test_engine import TWO_PI, _assert_bitwise
+from jrsp import TargetState, generic_shares, oracle_branches
+from reference_engine import reference_oracle_branches
+from test_engine import TWO_PI, _assert_bitwise, _assert_same_triple
 
 for variant, rule, n in [("improved", "derived", 2), ("improved", "derived", 5),
                          ("improved", "derived", 8), ("bich3", "table1", 3)]:
@@ -54,7 +56,9 @@ for variant, rule, n in [("improved", "derived", 2), ("improved", "derived", 5),
     runs += [(TargetState(a, b, sum(pole_shares) % TWO_PI), pole_shares)
              for a, b in ((1.0, 0.0), (0.0, 1.0))]
     for t, shares in runs:
-        _assert_bitwise(variant, t, shares, rule)
+        report, _ = _assert_bitwise(variant, t, shares, rule)
+        for got, want in zip(oracle_branches(report), reference_oracle_branches(report)):
+            _assert_same_triple(got, want)
 print("compared", flush=True)
 """
 

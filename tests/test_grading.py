@@ -1,4 +1,5 @@
-"""The grading kernel shared by the engine, the Pauli oracle and the reference.
+"""The grading kernel shared by the engine and the reference, and the Pauli
+oracle's four-word grid, which must match it bit for bit.
 
 The reference engine grades through the same kernel, so the kernel is
 checked here on its own: against the textbook Pauli matrices, and against
@@ -16,10 +17,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_engine import _PARTS
 
 import jrsp
 from jrsp import RecoveryOp, TargetState, generic_shares, oracle_branches, run_exact
 from jrsp.protocol import _overlaps
+from jrsp.verify import _word_overlaps
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,14 +79,33 @@ def test_kernel_matches_the_textbook_matrices(t):
 
 @pytest.mark.parametrize("t", _TARGETS, ids=lambda t: f"{t.a:.3f},{t.b:.3f},{t.phi:.2f}")
 def test_one_call_over_the_word_grid_is_four_single_word_calls(t):
+    # The Pauli oracle grades all four words from shared products; each
+    # word's overlap must be the kernel's bit for bit, signed zeros included.
     pre = _rows(np.random.default_rng(7))
     amps = t.state().amplitudes
-    grid_post, grid_overlaps = _overlaps(pre, np.arange(4)[:, None], amps)
-    assert grid_post is None
+    grid_overlaps = _word_overlaps(pre, amps)
     assert grid_overlaps.shape == (4, len(pre))
     for code in range(4):
         _, overlaps = _overlaps(pre, code, amps)
         assert grid_overlaps[code].tobytes() == overlaps.tobytes()
+        one = _word_overlaps(pre[:1], amps)[code]
+        assert one.tobytes() == overlaps[:1].tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(2, 9).flatmap(
+    lambda rows: st.lists(_PARTS, min_size=4 * rows + 4, max_size=4 * rows + 4)))
+def test_word_grid_is_the_kernel_bitwise_on_extreme_parts(parts):
+    # From two rows up: numpy multiplies a one-element array in place
+    # without fused multiply-add, so a one-row kernel call can give an
+    # underflowing part the other sign (5e-324 * -5e-324 + 0 * 0 is +0
+    # rounded twice and -0 fused).
+    values = np.array(parts).view(np.complex128)
+    amps, pre = values[:2], values[2:].reshape(-1, 2)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        grid = _word_overlaps(pre, amps)
+        for code in range(4):
+            assert grid[code].tobytes() == _overlaps(pre, code, amps)[1].tobytes()
 
 
 @pytest.mark.parametrize("variant, rule, n", [("bich3", "table1", 3), ("improved", "table2", 3),

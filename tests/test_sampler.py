@@ -48,6 +48,36 @@ def test_kernel_matches_numpy_philox_on_random_keys():
             assert np.array_equal(row, np.random.Generator(gen).random(8))
 
 
+def _numpy_philox(key, trials, count):
+    """Reference draws: one numpy Philox generator per trial."""
+    return np.array([
+        np.random.Generator(np.random.Philox(key=np.array([key, trial], dtype=np.uint64)))
+        .random(count)
+        for trial in trials
+    ])
+
+
+@pytest.mark.parametrize("size", [1, 200, 4095, 4096, 4097])
+def test_kernel_matches_numpy_philox_for_every_count_up_to_four_blocks(size):
+    rng = np.random.default_rng(size)
+    key = int(rng.integers(0, 2**64, dtype=np.uint64))
+    trials = rng.integers(0, 2**64, size, dtype=np.uint64)
+    trials[-1] = 2**64 - 1
+    want = _numpy_philox(key, trials, 13)
+    for count in range(1, 14):
+        draws = _philox_uniforms(key, trials, count)
+        assert draws.shape == (size, count)
+        assert draws.dtype == np.float64
+        assert draws.tobytes() == want[:, :count].tobytes()
+
+
+def test_kernel_rows_do_not_depend_on_the_batch():
+    trials = np.arange(4097, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    full = _philox_uniforms(31, trials, 9)
+    for start, stop in ((0, 1), (5, 6), (0, 200), (1000, 4096), (4095, 4097)):
+        assert np.array_equal(_philox_uniforms(31, trials[start:stop], 9), full[start:stop])
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_tables_match_reference_to_the_last_bit(n):
     # A threshold one ulp off flips a trial only when a draw lands on it,
@@ -106,6 +136,38 @@ def test_matches_reference_across_batch_edges(trials):
             run_sampled(variant, t, (0.55, 0.55), rule, trials, 77),
             reference_run_sampled(variant, t, (0.55, 0.55), rule, trials, 77),
         )
+
+
+@pytest.mark.parametrize("trials", [4095, 4096, 4097])
+def test_matches_reference_across_batch_edges_with_two_blocks(trials):
+    # n = 5 reads five draws per trial, two Philox blocks.
+    shares = generic_shares(4, 11)
+    t = TargetState(0.6, 0.8, sum(shares) % TWO_PI)
+    _assert_same(
+        run_sampled("improved", t, shares, "derived", trials, 2**64 - 2),
+        reference_run_sampled("improved", t, shares, "derived", trials, 2**64 - 2),
+    )
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", 1.5), ("seed", True), ("seed", "3"), ("seed", np.float64(2.0)),
+    ("trials", 2.5), ("trials", True), ("trials", np.bool_(True)), ("trials", None),
+])
+def test_rejects_non_integer_trials_and_seed(name, value):
+    args = dict(trials=10, seed=1)
+    args[name] = value
+    t = TargetState(0.6, 0.8, 1.1)
+    with pytest.raises(ValueError, match=name):
+        run_sampled("bich3", t, (0.55, 0.55), "table1", args["trials"], args["seed"])
+
+
+def test_takes_numpy_integers_as_python_ints():
+    t = TargetState(0.6, 0.8, 1.1)
+    want = run_sampled("bich3", t, (0.55, 0.55), "table1", 300, 2**64 - 1)
+    for trials, seed in ((np.int64(300), np.uint64(2**64 - 1)), (np.uint16(300), 2**64 - 1)):
+        got = run_sampled("bich3", t, (0.55, 0.55), "table1", trials, seed)
+        assert type(got.trials) is int and type(got.seed) is int
+        assert (got.trials, got.seed, got.counts) == (want.trials, want.seed, want.counts)
 
 
 def test_matches_reference_above_the_signed_range():
